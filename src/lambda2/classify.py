@@ -12,7 +12,8 @@ Three layers:
 
 A sorted LambdaSet ties results to the base curve and validates the standing
 invariants (admissibility, parity with the base trace, negation symmetry) on
-construction, so a violation anywhere surfaces immediately.
+construction, so a violation anywhere surfaces immediately, as an
+InvariantViolation (a RuntimeError: a bug, never reported as bad input).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class NotAdmissible(ValueError):
 
 class DegreeNotCoprime(ValueError):
     """Cover degree divisible by the characteristic is out of scope."""
+
+
+class InvariantViolation(RuntimeError):
+    """A standing invariant of a trace set failed; a bug, never bad input."""
 
 
 def _prime_power(q):
@@ -66,15 +71,18 @@ def hasse_window(q):
 class AdmissibleSet:
     """All realizable elliptic-curve traces over F_q, sorted ascending."""
 
-    __slots__ = ("q", "traces")
+    __slots__ = ("q", "traces", "_members")
 
     def __init__(self, q, traces):
         self.q = q
         self.traces = tuple(sorted(traces))
-        assert all(-t in traces for t in traces)
+        self._members = frozenset(self.traces)
+        for t in self._members:
+            if -t not in self._members:
+                raise InvariantViolation(f"negation symmetry violation at {t}")
 
     def __contains__(self, a):
-        return a in self.traces
+        return a in self._members
 
     def __iter__(self):
         return iter(self.traces)
@@ -128,18 +136,22 @@ class LambdaSet:
     __slots__ = ("curve", "d", "traces", "mode")
 
     def __init__(self, curve, d, traces, mode):
-        assert mode in LAMBDA_MODES
+        if mode not in LAMBDA_MODES:
+            raise ValueError(f"unknown mode {mode!r}; pick from {LAMBDA_MODES}")
+        members = set(traces)
         self.curve = curve
         self.d = d
-        self.traces = tuple(sorted(set(traces)))
+        self.traces = tuple(sorted(members))
         self.mode = mode
-        q = curve.field.order
-        admissible = admissible_traces(q)
+        admissible = admissible_traces(curve.field.order)
         base_parity = curve.trace() % 2
         for a in self.traces:
-            assert a in admissible, f"inadmissible trace {a}"
-            assert a % 2 == base_parity, f"parity violation at {a}"
-            assert -a in self.traces, f"negation symmetry violation at {a}"
+            if a not in admissible:
+                raise InvariantViolation(f"inadmissible trace {a}")
+            if a % 2 != base_parity:
+                raise InvariantViolation(f"parity violation at {a}")
+            if -a not in members:
+                raise InvariantViolation(f"negation symmetry violation at {a}")
 
     def polynomials(self):
         q = self.curve.field.order

@@ -7,9 +7,10 @@ Subcommands:
 * verify      run the independent computation routes against each other;
 * admissible  realizable elliptic-curve traces over F_q.
 
-Inventories together with their formula- and enumeration-derived trace sets
-are cached on disk as cache/q{q}.v1.json (override with --cache-dir or the
-LAMBDA2_CACHE_DIR environment variable).  Cache files embed a schema version
+table and verify cache inventories together with their formula- and
+enumeration-derived trace sets on disk as cache/q{q}.v1.json (override with
+--cache-dir or the LAMBDA2_CACHE_DIR environment variable); lambda computes
+afresh and takes no --cache-dir.  Cache files embed a schema version
 and a content hash; anything stale or damaged is silently recomputed.  The
 exhaustive cover oracle is never cached: it is the independent witness, so
 verify always recomputes it.
@@ -257,7 +258,6 @@ def build_parser():
     lam.add_argument("--b", required=True, help="curve coefficient b")
     lam.add_argument("--d", type=int, default=2, help="cover degree (default 2)")
     lam.add_argument("--mode", choices=sorted(_MODE_FUNCTIONS), default="kani")
-    lam.add_argument("--cache-dir")
     lam.set_defaults(func=cmd_lambda)
 
     verify = sub.add_parser("verify", help="cross-check the computation routes")

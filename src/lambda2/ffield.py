@@ -40,8 +40,9 @@ class IncompatibleFields(ValueError):
 # integer-list polynomials over the prime field F_p
 #
 # Little-endian lists of residues, no trailing zeros, zero polynomial = [].
-# This layer backs modulus searches and is reused by hot enumeration loops
-# elsewhere in the package; everything object-based sits on top of it.
+# This layer backs the modulus search and field inversion, and its squarefree
+# decomposition serves the oracle's per-cover branch test (fforacle), which
+# works on residues mod p instead of field objects.
 # ---------------------------------------------------------------------------
 
 
@@ -49,16 +50,6 @@ def pp_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def pp_add(p, f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return pp_trim(out)
 
 
 def pp_sub(p, f, g):
@@ -139,19 +130,17 @@ def pp_derivative(p, f):
     return pp_trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def pp_eval(p, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def squarefree_decomposition(p, f):
+    """Squarefree decomposition of an int-list polynomial over F_p.
 
-
-def pp_sqf_decomposition(p, f):
-    """Squarefree decomposition over F_p: list of (monic squarefree part, mult).
-
+    Returns pairwise-coprime monic squarefree parts with multiplicities, so
+    f = leading * prod(part ** mult); constant parts are omitted.
     Characteristic-p aware: p-th power parts are peeled off through the
     Frobenius (coefficientwise identity on F_p), so inputs like h(t)**p work.
+    Raises ZeroPolynomial on zero input.
     """
+    if not f:
+        raise ZeroPolynomial("cannot decompose the zero polynomial")
     out = []
     f = pp_monic(p, f)
     scale = 1
@@ -802,19 +791,6 @@ def factor(f):
                 out.append((irr, mult))
     out.sort(key=lambda pair: pair[0].key())
     return out
-
-
-def squarefree_decomposition(f):
-    """Pairwise-coprime monic squarefree parts with multiplicities.
-
-    f = leading * prod(part ** mult) over the returned pairs; constant parts
-    are omitted.  Raises ZeroPolynomial on zero input.
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    if f.degree() == 0:
-        return []
-    return _sqf_parts(f.monic())
 
 
 def roots(f):

@@ -6,7 +6,11 @@ scalar (a pole-order argument plus translation by 2-torsion classes shows
 nothing outside that space produces new covers).  The cover has genus 2
 exactly when the branch divisor of the quadratic extension has degree 2, a
 condition read off the squarefree decomposition of the norm u^2 - v^2*f
-without ever constructing the extension.
+without ever constructing the extension.  For v != 0, a prime coprime to f
+whose multiplicity in the norm is 2 mod 4 branches exactly when it is inert
+under the cover by E; for an irreducible quadratic prime that is decided by
+the norm criterion (the value of f at a root is a square in F_{p^2} iff its
+norm to F_p is a square in F_p), so no extension field is ever built.
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -19,6 +23,12 @@ and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
+The census runs on residues mod p: the oracle serves prime fields only, so
+the branch test and the place count work on plain ints, and field objects
+appear only in the local expansions at the zeros of g.  cover_point_count
+keeps the object count, which also runs over F_{q^2}, as the reference the
+tests hold the census to.
+
 A second, slower route to the same branch data is also exposed: factor the
 norm into irreducibles, realize every place above every factor with an
 explicit point over the right extension field, and read valuations off
@@ -28,12 +38,17 @@ are kept deliberately independent so each can check the other.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ffield import (
     Polynomial,
     embedding,
     factor,
     is_square,
     make_field,
+    pp_divmod,
+    pp_gcd,
+    pp_rem,
     roots,
     sqrt,
     squarefree_decomposition,
@@ -57,6 +72,10 @@ class ZeroFunction(ValueError):
 
 class NotGenusTwo(ValueError):
     """Raised when a cover expected to have genus 2 does not."""
+
+
+class NotPrimeField(ValueError):
+    """Raised when residue arithmetic mod p is asked to serve an extension field."""
 
 
 class ZetaInconsistent(RuntimeError):
@@ -375,26 +394,35 @@ def divisor_odd_part(curve, g):
     return DivisorSketch(entries)
 
 
-def _inert_degree(rest, cubic):
+@lru_cache(maxsize=None)
+def _square_roots(p):
+    """{r^2 mod p: r}: membership is the quadratic character, 0 included."""
+    return {r * r % p: r for r in range(p)}
+
+
+def _inert_degree(p, rest, cubic, root_of):
     """Total degree of the places of rest staying prime in the cover by E.
 
-    rest is squarefree, coprime to the curve cubic, of degree at most 2: its
-    prime factors are read off directly instead of running a general
-    factorization.
+    rest is a monic squarefree int list, coprime to the curve cubic, of
+    degree at most 2: its prime factors are read off directly instead of
+    running a general factorization.  A root r is inert when cubic(r) is a
+    nonsquare.  For an irreducible x^2 + s*x + t with root rho, cubic(rho)
+    is a square in F_{p^2} iff its norm to F_p is a square; with
+    cubic mod rest = c1*x + c0 that norm is c1^2*t - c0*c1*s + c0^2.
     """
-    field = rest.field
-    assert rest.degree() <= 2
-    linear = roots(rest)
-    total = sum(1 for r in linear if not is_square(cubic.evaluate(r)))
-    if rest.degree() == 2 and not linear:
-        ext = make_field(field.p, 2 * field.m)
-        lift = embedding(field, ext)
-        quad = Polynomial(ext, [lift(c) for c in rest.coeffs])
-        r = roots(quad)[0]
-        value = lift(cubic.coeffs[0]) + r * (lift(cubic.coeffs[1]) + r * r)
-        if not is_square(value):
-            total += 2
-    return total
+    if len(rest) == 2:
+        linear = [-rest[0] % p]
+    else:
+        t, s = rest[0], rest[1]
+        disc = (s * s - 4 * t) % p
+        if disc not in root_of:
+            c0, c1 = (pp_rem(p, cubic, rest) + [0, 0])[:2]
+            return 0 if (c1 * c1 * t - c0 * c1 * s + c0 * c0) % p in root_of else 2
+        half = (p + 1) // 2
+        r = root_of[disc]
+        linear = [(r - s) * half % p, (-r - s) * half % p]
+    b, a = cubic[0], cubic[1]
+    return sum(1 for x in linear if (b + x * (a + x * x)) % p not in root_of)
 
 
 def branch_degree(curve, u, v):
@@ -405,32 +433,46 @@ def branch_degree(curve, u, v):
     the local valuation of g is odd, which depends only on w mod 4 and on how
     the prime behaves under the cover by E (ramified at a root of f, split
     when f is a square in its residue field, inert otherwise).
+
+    u (a Polynomial or coefficient sequence of degree at most 2) and v may be
+    ints or elements of the curve's field; everything is reduced to residues
+    mod p, so the curve must live over a prime field (NotPrimeField
+    otherwise).  u = v = 0 raises ZeroFunction.
     """
     field = curve.field
-    if isinstance(v, int):
-        v = field.element(v)
-    if isinstance(u, Polynomial):
-        upoly = u
-    else:
-        upoly = Polynomial(field, list(u))
-    assert upoly.degree() <= 2
-    cubic = _cubic(curve)
+    if field.m != 1:
+        raise NotPrimeField(f"the branch test works mod p; {field!r} is not a prime field")
+    p = field.p
+    u0, u1, u2 = (c.coeffs[0] for c in _as_triple(field, u))
+    v = v % p if isinstance(v, int) else field.element(v).coeffs[0]
+    cubic = [curve.b.coeffs[0], curve.a.coeffs[0], 0, 1]
     vv = v * v
-    norm = upoly * upoly - Polynomial(field, [c * vv for c in cubic.coeffs])
-    assert not norm.is_zero(), "u^2 = v^2 f is impossible for nonsingular f"
-    total = 1 if not v.is_zero() and upoly.degree() < 2 else 0
-    for part, mult in squarefree_decomposition(norm):
+    norm = [
+        (u0 * u0 - vv * cubic[0]) % p,
+        (2 * u0 * u1 - vv * cubic[1]) % p,
+        (u1 * u1 + 2 * u0 * u2) % p,
+        (2 * u1 * u2 - vv) % p,
+        u2 * u2 % p,
+    ]
+    while norm and not norm[-1]:
+        norm.pop()
+    if not norm:
+        # u^2 = v^2 f is impossible for nonsingular f unless u = v = 0
+        raise ZeroFunction("the zero function has no branch divisor")
+    total = 1 if v and not u2 else 0
+    root_of = _square_roots(p)
+    for part, mult in squarefree_decomposition(p, norm):
         if mult % 2 == 1:
             # odd valuation upstairs at every prime of the part
-            total += part.degree()
+            total += len(part) - 1
         elif mult % 4 == 2:
-            rest = part // part.gcd(cubic)
-            if rest.degree() == 0:
+            rest = pp_divmod(p, part, pp_gcd(p, part, cubic))[0]
+            if len(rest) == 1:
                 continue
-            if v.is_zero():
-                total += 2 * rest.degree()
+            if not v:
+                total += 2 * (len(rest) - 1)
             else:
-                total += 2 * _inert_degree(rest, cubic)
+                total += 2 * _inert_degree(p, rest, cubic, root_of)
     return total
 
 
@@ -452,6 +494,33 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
             if w % 2 == 1:
                 total += 1
             elif unit.index in sqtable:
+                total += 2
+    return total
+
+
+def _count_places_mod_p(curve, points, squares, ucoeffs, v):
+    """_count_places on residues mod p: int points, int u and v, and the set
+    of square residues; the object _local_unit runs only at zeros of g."""
+    p = curve.field.p
+    u0, u1, u2 = ucoeffs
+    if v and not u2:
+        total = 1
+    else:
+        lead = u2 or u1 or u0
+        total = 2 if lead in squares else 0
+    for x0, y0 in points:
+        val = (u0 + x0 * (u1 + x0 * u2) + v * y0) % p
+        if val:
+            if val in squares:
+                total += 2
+        else:
+            elem = curve.field.element
+            w, unit = _local_unit(
+                curve, tuple(map(elem, ucoeffs)), elem(v), elem(x0), elem(y0)
+            )
+            if w % 2 == 1:
+                total += 1
+            elif unit.coeffs[0] in squares:
                 total += 2
     return total
 
@@ -502,7 +571,10 @@ def _as_triple(field, u):
         coeffs = list(u.coeffs)
     else:
         coeffs = [field.element(c) for c in u]
-    assert len(coeffs) <= 3
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    if len(coeffs) > 3:
+        raise ValueError("u must have degree at most 2")
     while len(coeffs) < 3:
         coeffs.append(field.zero)
     return tuple(coeffs)
@@ -532,16 +604,21 @@ def cover_representatives(field):
 
 
 def cover_census(curve):
-    """Complementary-trace histogram over all genus-2 double covers."""
+    """Complementary-trace histogram over all genus-2 double covers.
+
+    Works on residues mod p, so the curve must live over a prime field.
+    """
     field = curve.field
-    points = curve.affine_points()
-    sqtable = field.squares_table()
+    points = [(x.coeffs[0], y.coeffs[0]) for x, y in curve.affine_points()]
+    squares = field.squares_table()
     base = field.order + 1 - curve.trace()
     counts = {}
     for ucoeffs, v in cover_representatives(field):
+        ucoeffs = tuple(c.coeffs[0] for c in ucoeffs)
+        v = v.coeffs[0]
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        ap = base - _count_places(curve, points, sqtable, ucoeffs, v)
+        ap = base - _count_places_mod_p(curve, points, squares, ucoeffs, v)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
 

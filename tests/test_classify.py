@@ -3,7 +3,10 @@ import math
 import pytest
 
 from lambda2.classify import (
+    AdmissibleSet,
     DegreeNotCoprime,
+    InvariantViolation,
+    LambdaSet,
     NotAdmissible,
     OutOfHasseWindow,
     admissible_traces,
@@ -81,6 +84,25 @@ def test_admissible_set_is_symmetric_and_cached():
         adm = admissible_traces(q)
         assert all(-a in adm for a in adm)
         assert admissible_traces(q) is adm
+
+
+def test_broken_invariants_raise_runtime_errors():
+    # a broken invariant is a bug, not bad input: it must not be a
+    # ValueError (the CLI's exit 2) and must survive python -O
+    assert issubclass(InvariantViolation, RuntimeError)
+    assert not issubclass(InvariantViolation, ValueError)
+    with pytest.raises(InvariantViolation, match="symmetry"):
+        AdmissibleSet(5, [-1, 1, 2])
+    curve = make_curve(5, 1, 0)  # trace 2: every complementary trace is even
+    with pytest.raises(InvariantViolation, match="parity"):
+        LambdaSet(curve, 2, [-1, 1], "kani")
+    with pytest.raises(InvariantViolation, match="inadmissible"):
+        LambdaSet(curve, 2, [-6, 6], "kani")
+    with pytest.raises(InvariantViolation, match="symmetry"):
+        LambdaSet(curve, 2, [-2, 0], "kani")
+    # an unknown mode is a bad argument, not a broken invariant
+    with pytest.raises(ValueError, match="mode"):
+        LambdaSet(curve, 2, [-2, 2], "guess")
 
 
 def test_weil_poly():

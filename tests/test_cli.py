@@ -173,5 +173,15 @@ def test_argparse_rejects_unknown(capsys):
     capsys.readouterr()
 
 
+def test_lambda_takes_no_cache_dir(tmp_path, capsys):
+    # lambda never caches, so the flag is refused rather than ignored
+    cache = tmp_path / "unused"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["lambda", "--q", "5", "--a", "1", "--b", "1", "--cache-dir", str(cache)])
+    assert info.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_main_module_entry():
     assert os.system("python3 -m lambda2.cli admissible --q 7 >/dev/null") == 0

@@ -2,11 +2,12 @@ import pytest
 
 from lambda2.classify import lambda_exact
 from lambda2.ecurve import FieldTooLarge, curve_inventory, make_curve
-from lambda2.ffield import Polynomial, field_of_order, make_field
+from lambda2.ffield import Polynomial, factor, field_of_order, make_field
 from lambda2.fforacle import (
     INFINITE_PLACE,
     EllipticFunction,
     NotGenusTwo,
+    NotPrimeField,
     ZeroFunction,
     branch_degree,
     cover_census,
@@ -242,13 +243,41 @@ def test_divisor_odd_part_examples():
     assert max(p.degree for p in tall.odd_places) == 3
 
 
+def _doubled_prime_cases(curve, ucoeffs, v):
+    """Which doubled-prime cases of branch_degree the input reaches, read off
+    a full factorization of the norm: a prime of multiplicity 2 mod 4 coprime
+    to the cubic, for v = 0, or as an irreducible quadratic with v != 0 (the
+    norm criterion), tagged with how the divisor route splits it."""
+    cubic = Polynomial(curve.field, [curve.b, curve.a, 0, 1])
+    cases = set()
+    for h, mult in factor(norm_polynomial(curve, (ucoeffs, v))):
+        if mult % 4 != 2 or (cubic % h).is_zero():
+            continue
+        if v.is_zero():
+            cases.add("v = 0")
+        elif h.degree() == 2:
+            cases.add("quadratic " + places_above(curve, h)[0].kind)
+    return cases
+
+
 def test_divisor_route_agrees_with_branch_degree():
     # the place-by-place factorization route and the squarefree shortcut
-    # must read off the same branch data for every candidate function
-    curve = make_curve(5, 2, 1)
-    for ucoeffs, v in cover_representatives(F5):
-        sketch = divisor_odd_part(curve, (ucoeffs, v))
-        assert sketch.odd_degree() == branch_degree(curve, ucoeffs, v)
+    # must read off the same branch data for every candidate function; the
+    # curves span every 2-torsion structure (F_5: Trivial, Full; F_7: Full,
+    # C2, Trivial)
+    reached = set()
+    for q, a, b in [(5, 2, 1), (5, 1, 0), (7, 0, 1), (7, 1, 0), (7, 0, 2)]:
+        curve = make_curve(q, a, b)
+        for ucoeffs, v in cover_representatives(curve.field):
+            sketch = divisor_odd_part(curve, (ucoeffs, v))
+            assert sketch.odd_degree() == branch_degree(curve, ucoeffs, v), (
+                q, a, b, ucoeffs, v,
+            )
+            reached |= _doubled_prime_cases(curve, ucoeffs, v)
+    # the v = 0 case and the norm criterion on an irreducible quadratic prime
+    # both ran; with v != 0 such a prime always splits, since an inert one
+    # would be a degree-4 place P with div(g) = P - 4*O = div(h(x))
+    assert reached == {"v = 0", "quadratic split-plus"}
 
 
 def test_scaling_by_square_leaves_counts_alone():
@@ -272,11 +301,15 @@ def test_scaling_by_square_leaves_counts_alone():
 
 def test_verified_trace_matches_census_f5():
     # rebuild every census through the checked single-cover route, which
-    # runs the branch test, the Hasse window and the N2 identity per cover
-    for (a, b), expected in GOLDEN_LAMBDA_F5.items():
-        curve = make_curve(5, a, b)
+    # runs the branch test, the Hasse window and the N2 identity per cover;
+    # the object place count it uses is the reference for the census's
+    # residue count, checked over F_5 and on one F_7 curve
+    cases = [((5, a, b), expected) for (a, b), expected in GOLDEN_LAMBDA_F5.items()]
+    cases.append(((7, 0, 2), (-5, -3, -1, 1, 3, 5)))
+    for (q, a, b), expected in cases:
+        curve = make_curve(q, a, b)
         tally = {}
-        for ucoeffs, v in cover_representatives(F5):
+        for ucoeffs, v in cover_representatives(curve.field):
             if branch_degree(curve, ucoeffs, v) != 2:
                 continue
             ap = cover_complementary_trace(curve, ucoeffs, v)
@@ -292,6 +325,14 @@ def test_trace_and_oracle_guards():
         lambda_oracle(make_curve(17, 1, 1))
     with pytest.raises(FieldTooLarge):
         lambda_oracle(curve_inventory(field_of_order(25))[0])
+    # the branch test works on residues mod p: extension fields are refused,
+    # and so are u of degree above 2 and the zero function
+    with pytest.raises(NotPrimeField):
+        branch_degree(curve_inventory(field_of_order(25))[0], (0, 1), 0)
+    with pytest.raises(ValueError):
+        branch_degree(E_F5, (1, 0, 0, 1), 0)
+    with pytest.raises(ZeroFunction):
+        branch_degree(E_F5, (0, 0, 0), 0)
 
 
 def test_degenerate_constant_covers():
