@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ffield import field_of_order
+from .ffield import InvariantViolation, field_of_order, prime_power
 from .ecurve import FieldTooLarge, curve_inventory
 from .galois2 import kani_admissible
 
@@ -38,28 +38,6 @@ class NotAdmissible(ValueError):
 
 class DegreeNotCoprime(ValueError):
     """Cover degree divisible by the characteristic is out of scope."""
-
-
-class InvariantViolation(RuntimeError):
-    """A standing invariant of a trace set failed; a bug, never bad input."""
-
-
-def _prime_power(q):
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"{q!r} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1
-        if q % p:
-            continue
-        n, m = q, 0
-        while n % p == 0:
-            n //= p
-            m += 1
-        if n != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return p, m
-    raise AssertionError
 
 
 def hasse_window(q):
@@ -104,7 +82,7 @@ def admissible_traces(q):
     Pure arithmetic over any odd q, including characteristic 3 where curve
     construction elsewhere is refused.
     """
-    p, m = _prime_power(q)
+    p, m = prime_power(q)
     lo, hi = hasse_window(q)
     found = []
     for n in range(lo, hi + 1):
@@ -281,7 +259,8 @@ def isogeny_class_two_torsion_profile(q, a):
         curve.two_torsion_structure()
         for curve in _classes_by_trace(field).get(a, ())
     }
-    assert found, f"admissible trace {a} has no curve over F_{q}"
+    if not found:
+        raise InvariantViolation(f"admissible trace {a} has no curve over F_{q}")
     return frozenset(found)
 
 

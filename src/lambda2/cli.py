@@ -38,7 +38,7 @@ from .classify import (
 )
 from .ecurve import curve_inventory, make_curve
 from .ffield import field_of_order
-from .fforacle import ORACLE_MAX_Q, lambda_oracle
+from .fforacle import ORACLE_MAX_Q, lambda_oracle, oracle_serves
 
 CACHE_SCHEMA = 1
 
@@ -178,8 +178,8 @@ def cmd_lambda(args):
     curve = make_curve(
         field, _parse_coefficient(field, args.a), _parse_coefficient(field, args.b)
     )
-    if args.mode == "oracle" and (field.m != 1 or field.order > ORACLE_MAX_Q):
-        raise ValueError("oracle mode supports prime q up to 13 only")
+    if args.mode == "oracle" and not oracle_serves(field):
+        raise ValueError(f"oracle mode supports prime q up to {ORACLE_MAX_Q} only")
     if args.d == 2:
         lam = _MODE_FUNCTIONS[args.mode](curve)
     else:
@@ -203,15 +203,17 @@ def cmd_verify(args):
     q = args.q
     entry = _load_or_build_entry(q, _cache_dir(args))
     field = field_of_order(q)
-    use_oracle = field.m == 1 and q <= ORACLE_MAX_Q
+    use_oracle = oracle_serves(field)
+    # only the oracle needs curve objects; the other routes read the cache
+    inventory = curve_inventory(field) if use_oracle else ()
     failures = 0
-    for curve, row in zip(curve_inventory(field), entry["curves"]):
+    for i, row in enumerate(entry["curves"]):
         sets = {
             "formula": tuple(row["lambda"]["formula"]),
             "kani": tuple(row["lambda"]["kani"]),
         }
         if use_oracle:
-            sets["oracle"] = lambda_oracle(curve).traces
+            sets["oracle"] = lambda_oracle(inventory[i]).traces
         agreed = len(set(sets.values())) == 1
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         if agreed:

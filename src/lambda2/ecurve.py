@@ -33,10 +33,6 @@ class FieldTooLarge(ValueError):
     """Exhaustive enumeration was requested over a field beyond the cap."""
 
 
-class PointNotOnCurve(ValueError):
-    """A point fed to the group law does not satisfy the curve equation."""
-
-
 class EllipticCurve:
     """y^2 = x^3 + a*x + b over a fixed finite field, validated on creation."""
 
@@ -71,9 +67,6 @@ class EllipticCurve:
     def j_invariant(self):
         a3 = 4 * self.a * self.a * self.a
         return 1728 * a3 / (a3 + 27 * self.b * self.b)
-
-    def discriminant(self):
-        return -16 * (4 * self.a * self.a * self.a + 27 * self.b * self.b)
 
     # -- point counting -----------------------------------------------------
 
@@ -152,7 +145,8 @@ class EllipticCurve:
         return 2
 
     def isomorphism_orbit(self):
-        """All (a, b) pairs isomorphic to this model, as a set."""
+        """All (a, b) pairs isomorphic to this model, as a set; tests check
+        automorphism_count and curve_inventory's orbit walk against it."""
         orbit = set()
         for u in self.field.nonzero_elements():
             u2 = u * u
@@ -161,11 +155,14 @@ class EllipticCurve:
         return orbit
 
     def class_representative(self):
-        """Lex-smallest (a, b) in the isomorphism orbit."""
+        """Lex-smallest (a, b) in the isomorphism orbit; tests check the
+        first-seen representatives of curve_inventory against it."""
         a, b = min(self.isomorphism_orbit(), key=lambda t: (t[0].index, t[1].index))
         return EllipticCurve(self.field, a, b)
 
     def is_isomorphic(self, other):
+        """Orbit membership; tests check with it that quadratic_twist leaves
+        the class whenever the trace is nonzero."""
         if self.field != other.field:
             return False
         return (other.a, other.b) in self.isomorphism_orbit()
@@ -177,22 +174,6 @@ class EllipticCurve:
         big = make_field(self.field.p, self.field.m * k)
         phi = embedding(self.field, big)
         return EllipticCurve(big, phi(self.a), phi(self.b))
-
-    # -- group structure ------------------------------------------------------
-
-    def group_structure(self):
-        """(n1, n2) with E(F_q) = Z/n1 x Z/n2, n1 | n2 (n1 = 1 if cyclic)."""
-        pts = self.points()
-        n = len(pts)
-        exponent = 1
-        for pt in pts:
-            order = _point_order(self, pt, n)
-            exponent = exponent * order // math.gcd(exponent, order)
-            if exponent == n:
-                break
-        n1 = n // exponent
-        assert exponent % n1 == 0
-        return (n1, exponent)
 
     def __eq__(self, other):
         return (
@@ -227,63 +208,6 @@ def make_curve(field, a, b):
     if isinstance(field, int):
         field = field_of_order(field)
     return EllipticCurve(field, a, b)
-
-
-# ---------------------------------------------------------------------------
-# point arithmetic (chord and tangent; None is the identity)
-# ---------------------------------------------------------------------------
-
-
-def negate_point(point):
-    if point is None:
-        return None
-    x, y = point
-    return (x, -y)
-
-
-def add_points(curve, P, Q):
-    for pt in (P, Q):
-        if not curve.contains(pt):
-            raise PointNotOnCurve(f"{pt} does not lie on {curve!r}")
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if y1 == -y2:
-            return None
-        # tangent line at a point of order two would divide by zero above
-        slope = (3 * x1 * x1 + curve.a) / (2 * y1)
-    else:
-        slope = (y2 - y1) / (x2 - x1)
-    x3 = slope * slope - x1 - x2
-    y3 = slope * (x1 - x3) - y1
-    return (x3, y3)
-
-
-def scalar_mul(curve, n, P):
-    if n < 0:
-        return scalar_mul(curve, -n, negate_point(P))
-    acc = None
-    piece = P
-    while n:
-        if n & 1:
-            acc = add_points(curve, acc, piece)
-        piece = add_points(curve, piece, piece)
-        n >>= 1
-    return acc
-
-
-def _point_order(curve, P, group_size):
-    # order divides the group size, so walk its divisors from below
-    d = 1
-    while d <= group_size:
-        if group_size % d == 0 and scalar_mul(curve, d, P) is None:
-            return d
-        d += 1
-    raise AssertionError("point order not found")
 
 
 # ---------------------------------------------------------------------------

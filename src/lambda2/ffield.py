@@ -36,6 +36,10 @@ class IncompatibleFields(ValueError):
     """No embedding exists (different characteristic or degree not dividing)."""
 
 
+class InvariantViolation(RuntimeError):
+    """A standing invariant failed; a bug, never bad input."""
+
+
 # ---------------------------------------------------------------------------
 # integer-list polynomials over the prime field F_p
 #
@@ -187,29 +191,41 @@ def pp_is_irreducible(p, f):
     return True
 
 
+def _least_factor(n):
+    """Smallest divisor d >= 2 of an integer n >= 2, by trial division."""
+    d = 2
+    while n % d:
+        if d * d > n:
+            return n
+        d += 1
+    return d
+
+
 def _prime_divisors(n):
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        d = _least_factor(n)
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(q):
+    """(p, m) with q = p**m; ValueError otherwise.
+
+    Even q is accepted: the trace arithmetic of classify serves any q.
+    """
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"{q!r} is not a prime power")
+    p = _least_factor(q)
+    n, m = q, 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, m
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +499,16 @@ def make_field(p, m=1):
 
 def field_of_order(q):
     """The canonical field with q elements, for q an odd prime power."""
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+    if not isinstance(q, int) or q % 2 == 0:
         raise ValueError(f"{q!r} is not an odd prime power")
-    for p in range(3, q + 1, 2):
-        if p * p > q:
-            return make_field(q)
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise ValueError("not a prime power")
-            return make_field(p, m)
-    raise ValueError(f"{q!r} is not an odd prime power")
+    return make_field(*prime_power(q))
 
 
 @lru_cache(maxsize=None)
 def _make_field(p, m):
     if not isinstance(p, int) or not isinstance(m, int):
         raise TypeError("p and m must be integers")
-    if not _is_prime(p):
+    if p < 2 or _least_factor(p) != p:
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("even characteristic is not supported")
@@ -525,7 +530,8 @@ def _make_field(p, m):
             if pp_is_irreducible(p, cand):
                 modulus = tuple(cand)
                 break
-        assert modulus is not None
+        if modulus is None:
+            raise InvariantViolation(f"no monic irreducible of degree {m} over F_{p}")
     return FiniteField(p, m, modulus)
 
 
@@ -931,9 +937,8 @@ def embedding(src, dst):
         return FieldEmbedding(src, dst, dst.gen)
     lifted = Polynomial(dst, [dst.element(c) for c in src.modulus_coeffs])
     first = factor(lifted)[0][0]
-    assert first.degree() == 1
     image = -first.coeffs[0]
-    emb = FieldEmbedding(src, dst, image)
     # the image really is a root of the source modulus
-    assert lifted.evaluate(image).is_zero()
-    return emb
+    if first.degree() != 1 or not lifted.evaluate(image).is_zero():
+        raise InvariantViolation(f"the modulus of {src!r} has no root in {dst!r}")
+    return FieldEmbedding(src, dst, image)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .ffield import (
+    InvariantViolation,
     Polynomial,
     embedding,
     factor,
@@ -158,7 +159,7 @@ def _local_unit(curve, ucoeffs, v, x0, y0):
     for w, c in enumerate(_g_series_at_point(curve, ucoeffs, v, x0, y0)):
         if not c.is_zero():
             return w, c
-    raise AssertionError("zero of unexpected multiplicity")
+    raise InvariantViolation("zero of unexpected multiplicity")
 
 
 def _cubic(curve):
@@ -219,23 +220,6 @@ def _as_function(curve, g):
     return EllipticFunction(curve, u, v)
 
 
-def rr_basis(curve, n):
-    """Monomial basis of the functions with pole order at most n at infinity.
-
-    {x^i : 2i <= n} plus {x^i*y : 2i + 3 <= n}, listed by pole order; the
-    count is exactly n for n >= 1.
-    """
-    if not 1 <= n <= 6:
-        raise ValueError("pole order bound must lie in 1..6")
-    basis = []
-    for i in range(n // 2 + 1):
-        basis.append(EllipticFunction(curve, [0] * i + [1], 0))
-    for i in range((n - 3) // 2 + 1):
-        basis.append(EllipticFunction(curve, 0, [0] * i + [1]))
-    basis.sort(key=EllipticFunction.pole_order)
-    return basis
-
-
 def norm_polynomial(curve, g):
     """Norm of g = u + v*y down to F_q(x): u^2 - v^2*(x^3 + ax + b).
 
@@ -275,7 +259,8 @@ def places_above(curve, h):
     """
     field = curve.field
     d = h.degree()
-    assert d >= 1 and h.leading() == field.one
+    if d < 1 or h.leading() != field.one:
+        raise ValueError(f"{h!r} is not a monic polynomial of positive degree")
     if d == 1:
         lift = _identity
         x0 = -h.coeffs[0]
@@ -355,7 +340,7 @@ def local_valuation(curve, g, place):
     for w, c in enumerate(_function_series(func, place, precision)):
         if not c.is_zero():
             return w
-    raise AssertionError("local expansion vanished to its full precision")
+    raise InvariantViolation("local expansion vanished to its full precision")
 
 
 class DivisorSketch:
@@ -369,9 +354,11 @@ class DivisorSketch:
 
     def __init__(self, entries):
         self.entries = tuple((p, w) for p, w in entries if w != 0)
-        assert sum(p.degree * w for p, w in self.entries) == 0
+        if sum(p.degree * w for p, w in self.entries) != 0:
+            raise InvariantViolation("a principal divisor must have degree 0")
         self.odd_places = tuple(p for p, w in self.entries if w % 2 != 0)
-        assert self.odd_degree() % 2 == 0
+        if self.odd_degree() % 2 != 0:
+            raise InvariantViolation("the odd part of a divisor must have even degree")
 
     def odd_degree(self):
         return sum(p.degree for p in self.odd_places)
@@ -549,7 +536,8 @@ def cover_complementary_trace(curve, u, v):
     2, the trace must sit in the Hasse window, and the count over the
     quadratic extension must match the degree-4 Weil polynomial.  Raises
     NotGenusTwo for the wrong branch degree and ZetaInconsistent if a check
-    fails (which would mean a counting bug, never bad input).
+    fails (which would mean a counting bug, never bad input).  A cross-check:
+    tests hold cover_census's residue place count to it, cover by cover.
     """
     field = curve.field
     ucoeffs = _as_triple(field, u)
@@ -623,10 +611,14 @@ def cover_census(curve):
     return counts
 
 
+def oracle_serves(field):
+    """Whether the cover census runs over this field: prime, at most ORACLE_MAX_Q."""
+    return field.m == 1 and field.order <= ORACLE_MAX_Q
+
+
 def lambda_oracle(curve):
     """Complementary-trace set computed by exhaustive cover enumeration."""
-    field = curve.field
-    if field.m != 1 or field.order > ORACLE_MAX_Q:
+    if not oracle_serves(curve.field):
         raise FieldTooLarge(
             f"cover enumeration is limited to prime fields of order"
             f" at most {ORACLE_MAX_Q}"

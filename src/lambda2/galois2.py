@@ -14,6 +14,10 @@ that three-element root set:
   restriction, which is exactly when the two curves can be glued along their
   2-torsion into a genus-2 double cover of each.
 
+Kani's gluing runs along an anti-isometry E[2] -> E'[2] for the Weil pairing,
+but on 2-torsion that pairing is -1 on every pair of distinct nonzero points,
+so every group isomorphism qualifies and the pairing never has to be computed.
+
 Permutations are tuples t of length 3 with t[i] = j meaning "root i of the
 first curve maps to root j of the second", with roots in canonical order.
 """
@@ -24,8 +28,14 @@ import itertools
 import math
 from functools import lru_cache
 
-from .ffield import Polynomial, embedding, factor, make_field, roots
-from .ecurve import add_points
+from .ffield import (
+    InvariantViolation,
+    Polynomial,
+    embedding,
+    factor,
+    make_field,
+    roots,
+)
 
 STRUCTURES = ("Full", "C2", "Trivial")
 
@@ -62,7 +72,8 @@ class TwoTorsionModule:
         phi = embedding(base, self.field)
         lifted = Polynomial(self.field, [phi(c) for c in cubic.coeffs])
         rts = roots(lifted)
-        assert len(rts) == 3 and len(set(rts)) == 3
+        if len(rts) != 3 or len(set(rts)) != 3:
+            raise InvariantViolation(f"the 2-division cubic of {curve!r} lacks 3 roots")
         self.roots = tuple(rts)
         # q-power Frobenius (q = base field size) as a permutation of root slots
         frob = []
@@ -70,12 +81,8 @@ class TwoTorsionModule:
             image = r.frobenius(base.m)
             frob.append(self.roots.index(image))
         self.frobenius = tuple(frob)
-        assert sorted(self.frobenius) == [0, 1, 2]
-
-    def points(self):
-        """The 2-torsion subgroup over the splitting field, identity first."""
-        zero = self.field.zero
-        return [None] + [(r, zero) for r in self.roots]
+        if sorted(self.frobenius) != [0, 1, 2]:
+            raise InvariantViolation(f"Frobenius does not permute the roots of {curve!r}")
 
     def __repr__(self):
         return (
@@ -131,7 +138,8 @@ def scaling_set(curve1, curve2):
     phi = embedding(base, ext)
     lifted = Polynomial(ext, [phi(c) for c in target.coeffs])
     found = roots(lifted)
-    assert len(found) == target.degree()
+    if len(found) != target.degree():
+        raise InvariantViolation(f"{target!r} does not split in {ext!r}")
     return ext, tuple(found)
 
 
@@ -157,7 +165,8 @@ def geometric_restrictions(curve1, curve2):
     for s in scalings:
         sw = lifts(s)
         tau = tuple(roots2.index(sw * r) for r in roots1)
-        assert sorted(tau) == [0, 1, 2]
+        if sorted(tau) != [0, 1, 2]:
+            raise InvariantViolation(f"scaling {sw} does not biject the root sets")
         perms.add(tau)
     return tuple(sorted(perms))
 
@@ -181,7 +190,9 @@ def all_isos_are_restrictions(curve1, curve2):
 
     Vacuously true when no equivariant isomorphism exists at all.  For curves
     sharing a j-invariant and a 2-torsion structure this happens exactly in
-    the two rigid cases: j = 0 with Trivial structure, j = 1728 with C2.
+    the two rigid cases: j = 0 with Trivial structure and b'/b a cube, and
+    j = 1728 with C2.  A cross-check: tests hold rigidity_closed_form, and
+    through it the exception flags of lambda_formula, to this subset test.
     """
     restricted = set(geometric_restrictions(curve1, curve2))
     return all(tau in restricted for tau in module_isomorphisms(curve1, curve2))
@@ -190,71 +201,20 @@ def all_isos_are_restrictions(curve1, curve2):
 def rigidity_closed_form(curve1, curve2):
     """Closed-form prediction for all_isos_are_restrictions: true iff the
     curves share a j-invariant and 2-torsion structure, and either j = 0 with
-    Trivial structure or j = 1728 with C2 structure.
+    Trivial structure and b'/b a cube, or j = 1728 with C2 structure.  Exact
+    on pairs sharing both; elsewhere the subset test is vacuously true.
 
-    Known to be incomplete: for j = 0 Trivial pairs the exact subset test
-    additionally requires b'/b to be a cube in the base field (equivalently,
-    the two Frobenius 3-cycles have the same orientation on mu_3-labeled
-    roots); with a non-cube ratio the restrictions form the coset of shifts
-    disjoint from the equivariant maps.  Kept as stated for comparison;
-    consumers needing the truth use all_isos_are_restrictions.
+    j = 0 Trivial curves exist only for q = 1 mod 3 (otherwise cubing is a
+    bijection and x^3 + b has a rational root), so b'/b is a cube exactly
+    when (b'/b)^((q-1)/3) = 1.  With a non-cube ratio the two Frobenius
+    3-cycles have opposite orientations on the mu_3-labeled roots, and the
+    restrictions form the coset of shifts disjoint from the equivariant maps.
     """
     s1 = two_torsion_module(curve1).structure
     s2 = two_torsion_module(curve2).structure
     if curve1.j_invariant() != curve2.j_invariant() or s1 != s2:
         return False
     if curve1.a.is_zero() and s1 == "Trivial":
-        return True
+        ratio = curve2.b / curve1.b
+        return ratio ** ((curve1.field.order - 1) // 3) == curve1.field.one
     return curve1.b.is_zero() and s1 == "C2"
-
-
-def weil_pairing_e2(curve, point1, point2):
-    """The 2-torsion Weil pairing, valued in {1, -1} of the curve's field.
-
-    Evaluated through f_T = x - x_T (divisor 2(T) - 2(O)) on auxiliary
-    divisors: e_2(P, Q) = [f_P(Q+R)/f_P(R)] / [f_Q(P+S)/f_Q(S)].  If the curve
-    has too few rational points to host valid auxiliaries, the computation
-    moves to a quadratic extension; the value is reported in the original
-    field either way.
-    """
-    base = curve.field
-    if point1 is None or point2 is None:
-        return base.one
-    for pt in (point1, point2):
-        assert curve.contains(pt) and pt[1].is_zero()
-    value = _pairing_once(curve, point1, point2)
-    while value is None:
-        ext = curve.base_change(2)
-        phi = embedding(curve.field, ext.field)
-        point1 = (phi(point1[0]), phi(point1[1]))
-        point2 = (phi(point2[0]), phi(point2[1]))
-        curve = ext
-        value = _pairing_once(curve, point1, point2)
-    assert value == 1 or value == -1
-    return base.one if value == 1 else -base.one
-
-
-def _pairing_once(curve, P, Q):
-    pts = curve.points()
-
-    def straight(T, X):
-        # value of x - x_T at X, None when X is the pole O
-        return None if X is None else X[0] - T[0]
-
-    first = None
-    for R in pts:
-        v1 = straight(P, add_points(curve, Q, R))
-        v2 = straight(P, R)
-        if v1 is None or v2 is None or v1.is_zero() or v2.is_zero():
-            continue
-        first = v1 / v2
-        break
-    if first is None:
-        return None
-    for S in pts:
-        w1 = straight(Q, add_points(curve, P, S))
-        w2 = straight(Q, S)
-        if w1 is None or w2 is None or w1.is_zero() or w2.is_zero():
-            continue
-        return first * w2 / w1
-    return None

@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 
 import pytest
 
+import lambda2
+from lambda2 import ffield
 from lambda2.classify import (
     AdmissibleSet,
     DegreeNotCoprime,
@@ -91,6 +95,7 @@ def test_broken_invariants_raise_runtime_errors():
     # ValueError (the CLI's exit 2) and must survive python -O
     assert issubclass(InvariantViolation, RuntimeError)
     assert not issubclass(InvariantViolation, ValueError)
+    assert InvariantViolation is ffield.InvariantViolation is lambda2.InvariantViolation
     with pytest.raises(InvariantViolation, match="symmetry"):
         AdmissibleSet(5, [-1, 1, 2])
     curve = make_curve(5, 1, 0)  # trace 2: every complementary trace is even
@@ -103,6 +108,23 @@ def test_broken_invariants_raise_runtime_errors():
     # an unknown mode is a bad argument, not a broken invariant
     with pytest.raises(ValueError, match="mode"):
         LambdaSet(curve, 2, [-2, 2], "guess")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every invariant check in the
+    # package must raise an exception instead
+    found = []
+    for path in sorted(pathlib.Path(lambda2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_weil_poly():

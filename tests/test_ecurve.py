@@ -1,20 +1,15 @@
 import math
-import random
 
 import pytest
 
 from lambda2.ecurve import (
     FieldTooLarge,
-    PointNotOnCurve,
     BadCharacteristic,
     EllipticCurve,
     SingularCurve,
-    add_points,
     curve_inventory,
     enumerate_curves,
     make_curve,
-    negate_point,
-    scalar_mul,
 )
 from lambda2.ffield import embedding, make_field
 
@@ -183,41 +178,6 @@ def test_enumeration_cap():
         list(enumerate_curves(make_field(353)))
 
 
-def test_group_law_axioms():
-    E = make_curve(F7, 1, 3)
-    pts = E.points()
-    rng = random.Random(11)
-    for _ in range(60):
-        P, Q, R = (rng.choice(pts) for _ in range(3))
-        assert add_points(E, P, Q) == add_points(E, Q, P)
-        assert add_points(E, add_points(E, P, Q), R) == add_points(
-            E, P, add_points(E, Q, R)
-        )
-    for P in pts:
-        assert add_points(E, P, negate_point(P)) is None
-        assert add_points(E, P, None) == P
-        assert E.contains(add_points(E, P, P))
-
-
-def test_scalar_mul_annihilates_at_group_order():
-    for E in curve_inventory(F5):
-        n = E.point_count()
-        for P in E.points():
-            assert scalar_mul(E, n, P) is None
-
-
-def test_group_structure_frozen_cases():
-    # full rational 2-torsion, 4 points: the Klein group
-    assert make_curve(F5, 1, 0).group_structure() == (2, 2)
-    # 9 points with n1 required to divide q - 1 = 4: cyclic
-    assert make_curve(F5, 1, 1).group_structure() == (1, 9)
-    for E in curve_inventory(F7):
-        n1, n2 = E.group_structure()
-        assert n1 * n2 == E.point_count()
-        assert n2 % n1 == 0
-        assert (F7.order - 1) % n1 == 0
-
-
 def test_base_change_embeds_rational_points():
     E = make_curve(F5, 1, 1)
     E2 = E.base_change(2)
@@ -259,17 +219,3 @@ def test_two_torsion_structure_parity_and_twist_invariance():
             if n % 4 == 2:
                 assert structure == "C2"
             assert E.quadratic_twist().two_torsion_structure() == structure
-
-
-def test_add_points_rejects_off_curve_input():
-    E = make_curve(F5, 1, 1)
-    with pytest.raises(PointNotOnCurve):
-        add_points(E, (F5.element(1), F5.element(1)), None)
-
-
-def test_two_torsion_point_sum():
-    # the three order-2 points of y^2 = x^3 + x sum pairwise to each other
-    E = make_curve(F5, 1, 0)
-    z = F5.zero
-    assert add_points(E, (F5.element(2), z), (F5.element(3), z)) == (z, z)
-    assert add_points(E, (z, z), (z, z)) is None

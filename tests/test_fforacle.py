@@ -19,7 +19,6 @@ from lambda2.fforacle import (
     local_valuation,
     norm_polynomial,
     places_above,
-    rr_basis,
 )
 
 # same frozen table as test_classify: the enumeration route must land on the
@@ -157,24 +156,6 @@ def test_oracle_lambda_set_mode():
     assert lam.polynomials() == [(5, 2, 1), (5, -2, 1)]
 
 
-def test_rr_basis_monomials():
-    curve = make_curve(5, 1, 1)
-    for n in range(1, 7):
-        basis = rr_basis(curve, n)
-        assert len(basis) == n
-        orders = [f.pole_order() for f in basis]
-        assert orders == sorted(orders) and orders[-1] <= n
-    one, x, y, x2 = rr_basis(curve, 4)
-    assert one.u.degree() == 0 and one.v.is_zero()
-    assert x.u.coeffs == Polynomial.x(F5).coeffs and x.v.is_zero()
-    assert y.u.is_zero() and y.v.degree() == 0
-    assert x2.u.degree() == 2 and x2.pole_order() == 4
-    with pytest.raises(ValueError):
-        rr_basis(curve, 0)
-    with pytest.raises(ValueError):
-        rr_basis(curve, 7)
-
-
 def test_elliptic_function_validation():
     with pytest.raises(ZeroFunction):
         EllipticFunction(E_F5, 0, 0)
@@ -184,6 +165,10 @@ def test_elliptic_function_validation():
         EllipticFunction(E_F5, 0, [0, 0, 1])
     tall = EllipticFunction(E_F5, [2, 0, 0, 1], [1, 1])
     assert tall.pole_order() == 6
+    # 1, x, y and x^2 have pole orders 0, 2, 3 and 4 at infinity
+    curve = make_curve(5, 1, 1)
+    for u, v, order in ((1, 0, 0), ([0, 1], 0, 2), (0, 1, 3), ([0, 0, 1], 0, 4)):
+        assert EllipticFunction(curve, u, v).pole_order() == order
 
 
 def test_norm_polynomial_examples():
@@ -211,6 +196,10 @@ def test_places_above_kinds():
     assert [(p.kind, p.degree) for p in inert] == [("inert", 2)]
     x0, y0 = inert[0].point
     assert y0 * y0 == inert[0].lift(e.rhs(F5.one))
+    # h must be monic of positive degree: a bad argument, not a broken invariant
+    for h in (_poly(F5, [1, 2]), _poly(F5, [3])):
+        with pytest.raises(ValueError, match="monic"):
+            places_above(e, h)
 
 
 def test_local_valuation_examples():
