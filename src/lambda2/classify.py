@@ -27,6 +27,11 @@ from .galois2 import kani_admissible
 
 LAMBDA_MODES = ("formula", "kani", "oracle")
 
+# the trial division behind prime_power and the Hasse-window walk both grow
+# with q; at this cap they take well under a second, and beyond it
+# admissible_traces refuses instead of running for minutes
+ADMISSIBLE_MAX_Q = 10**9
+
 
 class OutOfHasseWindow(ValueError):
     """|a| exceeds 2*sqrt(q)."""
@@ -79,9 +84,12 @@ def admissible_traces(q):
     * m even and (N^2 = 4q, or N^2 = q with p != 1 mod 3,
       or N = 0 with p != 1 mod 4).
 
-    Pure arithmetic over any odd q, including characteristic 3 where curve
-    construction elsewhere is refused.
+    Pure arithmetic over any q up to ADMISSIBLE_MAX_Q (FieldTooLarge above
+    it), including characteristic 3 where curve construction elsewhere is
+    refused.
     """
+    if isinstance(q, int) and q > ADMISSIBLE_MAX_Q:
+        raise FieldTooLarge(f"admissible traces stop at q = {ADMISSIBLE_MAX_Q}")
     p, m = prime_power(q)
     lo, hi = hasse_window(q)
     found = []
@@ -172,7 +180,7 @@ def lambda_formula(curve):
     otherwise-valid candidates; which ones die depends on the curve).
     """
     q = curve.field.order
-    structure = curve.two_torsion_structure()
+    structure = curve.two_torsion()
     admissible = admissible_traces(q).traces
     if structure == "Trivial":
         candidates = [a for a in admissible if a % 2 == 1]
@@ -256,7 +264,7 @@ def isogeny_class_two_torsion_profile(q, a):
         raise NotAdmissible(f"trace {a} is not admissible for q={q}")
     field = field_of_order(q)
     found = {
-        curve.two_torsion_structure()
+        curve.two_torsion()
         for curve in _classes_by_trace(field).get(a, ())
     }
     if not found:

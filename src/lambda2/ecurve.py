@@ -30,13 +30,13 @@ class SingularCurve(ValueError):
 
 
 class FieldTooLarge(ValueError):
-    """Exhaustive enumeration was requested over a field beyond the cap."""
+    """A computation was requested over a field beyond its size cap."""
 
 
 class EllipticCurve:
     """y^2 = x^3 + a*x + b over a fixed finite field, validated on creation."""
 
-    __slots__ = ("field", "a", "b", "_trace")
+    __slots__ = ("field", "a", "b", "_trace", "_j", "_structure")
 
     def __init__(self, field, a, b):
         if field.p <= 3:
@@ -51,6 +51,8 @@ class EllipticCurve:
         self.a = a
         self.b = b
         self._trace = None
+        self._j = None
+        self._structure = None
 
     # -- basic invariants ---------------------------------------------------
 
@@ -65,8 +67,10 @@ class EllipticCurve:
         return y * y == self.rhs(x)
 
     def j_invariant(self):
-        a3 = 4 * self.a * self.a * self.a
-        return 1728 * a3 / (a3 + 27 * self.b * self.b)
+        if self._j is None:
+            a3 = 4 * self.a * self.a * self.a
+            self._j = 1728 * a3 / (a3 + 27 * self.b * self.b)
+        return self._j
 
     # -- point counting -----------------------------------------------------
 
@@ -119,10 +123,18 @@ class EllipticCurve:
         """Rational 2-torsion shape: "Full", "C2" or "Trivial".
 
         Counted through the rational roots of the division cubic (3, 1, 0
-        roots respectively; 2 is impossible for a squarefree cubic).
+        roots respectively; 2 is impossible for a squarefree cubic).  Each
+        call scans the x-line; two_torsion() keeps the answer.
         """
         hits = sum(1 for x in self.field.elements() if self.rhs(x).is_zero())
         return {3: "Full", 1: "C2", 0: "Trivial"}[hits]
+
+    def two_torsion(self):
+        """two_torsion_structure(), scanned once per curve and kept, as trace()
+        keeps point_count()."""
+        if self._structure is None:
+            self._structure = self.two_torsion_structure()
+        return self._structure
 
     # -- twists, isomorphism, automorphisms ----------------------------------
 

