@@ -15,7 +15,10 @@ and a content hash; anything stale or damaged is silently recomputed.  The
 exhaustive cover oracle is never cached: it is the independent witness, so
 verify always recomputes it.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input.  A q above
+a command's cap is invalid input, refused before any factoring of q:
+INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
+ADMISSIBLE_MAX_Q for admissible.
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ from .classify import (
     lambda_set,
     weil_poly,
 )
-from .ecurve import curve_inventory, make_curve
+from .ecurve import (
+    INVENTORY_CAP,
+    XLINE_MAX_Q,
+    FieldTooLarge,
+    curve_inventory,
+    make_curve,
+)
 from .ffield import field_of_order
 from .fforacle import ORACLE_MAX_Q, lambda_oracle, oracle_serves
 
@@ -89,6 +98,9 @@ def _build_entry(q):
 
 
 def _load_or_build_entry(q, cache_dir):
+    # refuse before field_of_order, whose trial division is slow on a huge q
+    if q > INVENTORY_CAP:
+        raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
     path = os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -174,6 +186,10 @@ def cmd_table(args):
 
 
 def cmd_lambda(args):
+    if args.q > XLINE_MAX_Q:
+        raise FieldTooLarge(
+            f"lambda scans the x-line and is capped at q = {XLINE_MAX_Q}"
+        )
     field = field_of_order(args.q)
     curve = make_curve(
         field, _parse_coefficient(field, args.a), _parse_coefficient(field, args.b)

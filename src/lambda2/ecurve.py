@@ -5,6 +5,16 @@ Weierstrass model and the usual j-invariant, twist, and automorphism formulas
 apply verbatim.  Points are (x, y) tuples of field elements with None for the
 point at infinity.
 
+Traces are counted on the x-line.  Over a prime field the scan runs on plain
+residues: one pass over x in range(p) computes v = (x*x + a)*x + b mod p,
+counts the roots of the cubic and reads the quadratic character of v from
+the field's square table, so #E(F_p) = 1 + #roots + 2*#{x : v a nonzero
+square}.  Over an extension field the same sum runs on field elements
+(_chi).  The rational 2-torsion structure is the root count of the same
+scan.  Traces over F_{q^k} follow from the trace over F_q by the Frobenius
+recursion, without another scan.  affine_points stays on field elements; the
+tests hold the residue counts to it.
+
 Curve enumeration and the isomorphism-class inventory are deterministic: curves
 are ordered by the canonical element order of (a, b), and each class is
 represented by its lexicographically smallest member.
@@ -19,6 +29,8 @@ from .ffield import FieldElement, embedding, field_of_order, is_square, make_fie
 
 # full inventories are only meaningful while the x-line scan stays cheap
 INVENTORY_CAP = 343
+# a single curve's x-line scan is O(q): about a second at this size
+XLINE_MAX_Q = 10**6
 
 
 class BadCharacteristic(ValueError):
@@ -94,13 +106,25 @@ class EllipticCurve:
     def point_count(self, k=1):
         """Number of points over the degree-k extension.
 
-        k = 1 is a direct character sum across the x-line; larger k follows
-        from the Frobenius eigenvalue recursion t_k = t_1*t_{k-1} - q*t_{k-2}.
+        k = 1 is a direct character sum across the x-line, on residues for a
+        prime field; larger k follows from the Frobenius eigenvalue recursion
+        t_k = t_1*t_{k-1} - q*t_{k-2}.
         """
-        if k == 1:
-            q = self.field.order
-            return q + 1 + sum(_chi(self.rhs(x)) for x in self.field.elements())
-        return self.field.order**k + 1 - self.trace_over(k)
+        field = self.field
+        if k != 1:
+            return field.order**k + 1 - self.trace_over(k)
+        if field.m > 1:
+            return field.order + 1 + sum(_chi(self.rhs(x)) for x in field.elements())
+        p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
+        squares = field.squares_table()
+        roots = hits = 0
+        for x in range(p):
+            v = ((x * x + a) * x + b) % p
+            if v:
+                hits += squares[v]
+            else:
+                roots += 1
+        return 1 + roots + 2 * hits
 
     def trace(self):
         if self._trace is None:
@@ -124,9 +148,15 @@ class EllipticCurve:
 
         Counted through the rational roots of the division cubic (3, 1, 0
         roots respectively; 2 is impossible for a squarefree cubic).  Each
-        call scans the x-line; two_torsion() keeps the answer.
+        call scans the x-line, on residues for a prime field; two_torsion()
+        keeps the answer.
         """
-        hits = sum(1 for x in self.field.elements() if self.rhs(x).is_zero())
+        field = self.field
+        if field.m > 1:
+            hits = sum(1 for x in field.elements() if self.rhs(x).is_zero())
+        else:
+            p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
+            hits = sum(1 for x in range(p) if not ((x * x + a) * x + b) % p)
         return {3: "Full", 1: "C2", 0: "Trivial"}[hits]
 
     def two_torsion(self):

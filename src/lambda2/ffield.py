@@ -2,8 +2,16 @@
 
 A field of order p**m is built as F_p[t] / (modulus) where the modulus is the
 lexicographically smallest monic irreducible of degree m, coefficients compared
-as the tuple (c_{m-1}, ..., c_0).  No lookup tables: the same (p, m) always
-reconstructs the same field, elements, and factorizations, on any machine.
+as the tuple (c_{m-1}, ..., c_0).  The same (p, m) always reconstructs the
+same field, elements, and factorizations, on any machine.
+
+Each field keeps one lookup table, built on first use: squares_table(), one
+byte per element index holding 1 at every square (zero included) and 0
+elsewhere.  A prime field fills it from x*x mod p on plain ints, an
+extension field from element products.  is_square reads it while the field
+has at most _SQUARE_TABLE_CAP elements and uses Euler's criterion above that
+(pow on ints for a prime field); the curve point counts and the oracle's place
+counts index it directly.
 
 Elements are immutable little-endian residue vectors.  Factorization is
 squarefree decomposition, then distinct-degree splitting, then equal-degree
@@ -20,7 +28,7 @@ from functools import lru_cache
 FIELD_SIZE_CAP = 2**63
 EDF_SEED = 0x5EED
 
-# squares are looked up in a precomputed table when the field is at most this big
+# is_square reads the square table while the field is at most this big
 _SQUARE_TABLE_CAP = 20000
 
 
@@ -312,8 +320,21 @@ class FiniteField:
             yield self.from_index(i)
 
     def squares_table(self):
+        """Bytes indexed by element index: 1 at squares (zero too), else 0.
+
+        Filled as a bytearray and kept as immutable bytes, since every caller
+        shares it.
+        """
         if self._squares is None:
-            self._squares = frozenset((e * e).index for e in self.elements())
+            table = bytearray(self.order)
+            if self.m == 1:
+                p = self.p
+                for x in range((p + 1) // 2):
+                    table[x * x % p] = 1
+            else:
+                for e in self.elements():
+                    table[(e * e).index] = 1
+            self._squares = bytes(table)
         return self._squares
 
     def nonsquare(self):
@@ -541,7 +562,10 @@ def is_square(e):
         return True
     field = e.field
     if field.order <= _SQUARE_TABLE_CAP:
-        return e.index in field.squares_table()
+        return field.squares_table()[e.index] == 1
+    if field.m == 1:
+        p = field.p
+        return pow(e.coeffs[0], (p - 1) // 2, p) == 1
     return e ** ((field.order - 1) // 2) == field.one
 
 

@@ -473,36 +473,37 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
     else:
         # even order at infinity: the unit there is the leading coefficient
         lead = u2 if not u2.is_zero() else (u1 if not u1.is_zero() else u0)
-        total = 2 if lead.index in sqtable else 0
+        total = 2 if sqtable[lead.index] else 0
     for x0, y0 in points:
         val = u0 + x0 * (u1 + x0 * u2) + v * y0
         if not val.is_zero():
-            if val.index in sqtable:
+            if sqtable[val.index]:
                 total += 2
         else:
             w, unit = _local_unit(ucoeffs, v, _point_powers(curve, x0, y0))
             if w % 2 == 1:
                 total += 1
-            elif unit.index in sqtable:
+            elif sqtable[unit.index]:
                 total += 2
     return total
 
 
 def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
-    """_count_places on residues mod p: int points, int u and v, and the set
-    of square residues; the object _local_unit runs only at zeros of g, on
-    point expansions kept in the caller's dict powers, keyed by int point."""
+    """_count_places on residues mod p: int points, int u and v, and the
+    field's square table indexed by residue; the object _local_unit runs only
+    at zeros of g, on point expansions kept in the caller's dict powers, keyed
+    by int point."""
     p = curve.field.p
     u0, u1, u2 = ucoeffs
     if v and not u2:
         total = 1
     else:
         lead = u2 or u1 or u0
-        total = 2 if lead in squares else 0
+        total = 2 if squares[lead] else 0
     for x0, y0 in points:
         val = (u0 + x0 * (u1 + x0 * u2) + v * y0) % p
         if val:
-            if val in squares:
+            if squares[val]:
                 total += 2
         else:
             elem = curve.field.element
@@ -512,7 +513,7 @@ def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
             w, unit = _local_unit(tuple(map(elem, ucoeffs)), elem(v), at)
             if w % 2 == 1:
                 total += 1
-            elif unit.coeffs[0] in squares:
+            elif squares[unit.coeffs[0]]:
                 total += 2
     return total
 

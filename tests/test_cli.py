@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from lambda2 import cli
 from lambda2.classify import ADMISSIBLE_MAX_Q, admissible_traces, lambda_exact
-from lambda2.ecurve import FieldTooLarge, curve_inventory
+from lambda2.ecurve import INVENTORY_CAP, XLINE_MAX_Q, FieldTooLarge, curve_inventory
 from lambda2.ffield import field_of_order
 
 
@@ -143,6 +145,59 @@ def test_admissible_rejects_huge_q_fast(capsys):
         admissible_traces(ADMISSIBLE_MAX_Q + 2)
     # windows near 1e7 are still served
     assert run(capsys, "admissible", "--q", "9990499")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("lambda", "--a", "1", "--b", "1"), XLINE_MAX_Q),
+        (("table",), INVENTORY_CAP),
+        (("verify",), INVENTORY_CAP),
+    ],
+    ids=["lambda", "table", "verify"],
+)
+def test_huge_q_is_refused_fast(argv, cap, tmp_path, capsys, monkeypatch):
+    # field_of_order would trial-divide this prime for hours, so the cap must
+    # be checked before it; the stand-in fails at once instead of hanging
+    def factoring(q):
+        raise AssertionError(f"field_of_order({q}) ran before the cap check")
+
+    monkeypatch.setattr(cli, "field_of_order", factoring)
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(tmp_path))
+    started = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--q", "1000000000000000003", *argv[1:])
+    assert code == 2 and out == ""
+    assert str(cap) in err
+    assert time.perf_counter() - started < 1.0
+    assert not any(tmp_path.iterdir())
+
+
+# pools of perfbench/expected.json whose commands need no cache; their exit
+# codes and stdout digests were frozen from the CLI in fresh interpreters
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+FROZEN_POOLS = (
+    "formula_10k",
+    "formula_19k",
+    "formula_20k",
+    "formula_59k",
+    "d3",
+    "kani25",
+    "kani37",
+    "kani49",
+    "admissible_1e7",
+)
+
+
+@pytest.mark.parametrize("pool", FROZEN_POOLS)
+def test_frozen_answers_replay(pool, capsys):
+    commands = json.loads(FROZEN.read_text(encoding="utf-8"))["groups"][pool]
+    assert commands
+    for cmd, want in commands.items():
+        argv = cmd.split()
+        assert argv[0] in ("lambda", "admissible"), cmd
+        code, out, _ = run(capsys, *argv)
+        assert code == want["rc"], cmd
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], cmd
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):

@@ -75,10 +75,24 @@ def test_trace_satisfies_hasse_bound():
 
 
 def test_point_count_matches_affine_enumeration():
-    for E in curve_inventory(F7):
-        assert E.point_count() == len(E.points())
-        for x, y in E.affine_points():
-            assert E.contains((x, y))
+    # prime fields count on residues, F_25 on elements; both against the
+    # object point list and a brute-force count over all (x, y) pairs
+    for field in (F5, F7, make_field(11), F13, make_field(43), F25):
+        elems = list(field.elements())
+        y_squares = [y * y for y in elems]
+        for E in curve_inventory(field):
+            pts = E.affine_points()
+            assert E.point_count() == len(pts) + 1, (field, E)
+            for x, y in pts:
+                assert E.contains((x, y))
+            pairs = 0
+            for x in elems:
+                v = E.rhs(x)
+                pairs += sum(1 for y2 in y_squares if y2 == v)
+            assert E.point_count() == pairs + 1, (field, E)
+            roots = sum(1 for _, y in pts if y.is_zero())
+            shape = {3: "Full", 1: "C2", 0: "Trivial"}[roots]
+            assert E.two_torsion_structure() == shape, (field, E)
 
 
 def test_point_count_recursion_matches_direct_extension_count():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lambda2.ffield import (
+    _SQUARE_TABLE_CAP,
     IncompatibleFields,
     NotASquare,
     Polynomial,
@@ -113,12 +114,18 @@ def test_frobenius_fixed_points():
         assert e.frobenius(2) == e
 
 
-@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+# 20011 is above _SQUARE_TABLE_CAP, so is_square takes Euler's criterion on ints
+@pytest.mark.parametrize("p,m", SMALL_FIELDS + [(20011, 1)])
 def test_is_square_matches_squaring_table(p, m):
     F = make_field(p, m)
     squares = {(e * e).index for e in F.elements()}
+    assert p != 20011 or F.order > _SQUARE_TABLE_CAP
     for e in F.elements():
         assert is_square(e) == (e.index in squares)
+    table = F.squares_table()
+    assert isinstance(table, bytes) and len(table) == F.order
+    assert {i for i in range(F.order) if table[i]} == squares
+    assert set(table) == {0, 1}
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
