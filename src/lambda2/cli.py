@@ -18,7 +18,8 @@ verify always recomputes it.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.  A q above
 a command's cap is invalid input, refused before any factoring of q:
 INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
-ADMISSIBLE_MAX_Q for admissible.
+ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle serves prime q up to
+ORACLE_MAX_Q = 19 only; verify skips the oracle beyond it.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
-The census runs on residues mod p: the oracle serves prime fields only, so
-the branch test and the place count work on plain ints, and field objects
-appear only in the local expansions at the zeros of g.  cover_point_count
-keeps the object count, which also runs over F_{q^2}, as the reference the
-tests hold the census to.
+The census runs on residues mod p: the oracle serves prime fields of order
+at most ORACLE_MAX_Q = 19 only, so the branch test and the place count work
+on plain ints, and field objects appear only in the local expansions at the
+zeros of g.  cover_point_count keeps the object count, which also runs over
+F_{q^2}, as the reference the tests hold the census to.
 
 A second, slower route to the same branch data is also exposed: factor the
 norm into irreducibles, realize every place above every factor with an
@@ -37,8 +37,6 @@ are kept deliberately independent so each can check the other.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .ffield import (
     InvariantViolation,
@@ -64,7 +62,7 @@ SERIES_PRECISION = 6
 # enumeration is cubic in q and the residue-field towers stay single-layer
 # only over a prime field, so the oracle stops here; larger and non-prime
 # fields are served by the other two routes
-ORACLE_MAX_Q = 13
+ORACLE_MAX_Q = 19
 
 
 class ZeroFunction(ValueError):
@@ -384,35 +382,28 @@ def divisor_odd_part(curve, g):
     return DivisorSketch(entries)
 
 
-@lru_cache(maxsize=None)
-def _square_roots(p):
-    """{r^2 mod p: r}: membership is the quadratic character, 0 included."""
-    return {r * r % p: r for r in range(p)}
-
-
-def _inert_degree(p, rest, cubic, root_of):
+def _inert_degree(p, rest, cubic, squares):
     """Total degree of the places of rest staying prime in the cover by E.
 
     rest is a monic squarefree int list, coprime to the curve cubic, of
     degree at most 2: its prime factors are read off directly instead of
-    running a general factorization.  A root r is inert when cubic(r) is a
-    nonsquare.  For an irreducible x^2 + s*x + t with root rho, cubic(rho)
-    is a square in F_{p^2} iff its norm to F_p is a square; with
-    cubic mod rest = c1*x + c0 that norm is c1^2*t - c0*c1*s + c0^2.
+    running a general factorization.  squares is the field's square table.
+    A root r is inert when cubic(r) is a nonsquare.  For an irreducible
+    x^2 + s*x + t with root rho, cubic(rho) is a square in F_{p^2} iff its
+    norm to F_p is a square; with cubic mod rest = c1*x + c0 that norm is
+    c1^2*t - c0*c1*s + c0^2.  The roots of a split quadratic are found by
+    scanning the residues, since p is at most ORACLE_MAX_Q.
     """
     if len(rest) == 2:
         linear = [-rest[0] % p]
     else:
         t, s = rest[0], rest[1]
-        disc = (s * s - 4 * t) % p
-        if disc not in root_of:
+        if not squares[(s * s - 4 * t) % p]:
             c0, c1 = (pp_rem(p, cubic, rest) + [0, 0])[:2]
-            return 0 if (c1 * c1 * t - c0 * c1 * s + c0 * c0) % p in root_of else 2
-        half = (p + 1) // 2
-        r = root_of[disc]
-        linear = [(r - s) * half % p, (-r - s) * half % p]
+            return 0 if squares[(c1 * c1 * t - c0 * c1 * s + c0 * c0) % p] else 2
+        linear = [x for x in range(p) if (t + x * (s + x)) % p == 0]
     b, a = cubic[0], cubic[1]
-    return sum(1 for x in linear if (b + x * (a + x * x)) % p not in root_of)
+    return sum(1 for x in linear if not squares[(b + x * (a + x * x)) % p])
 
 
 def branch_degree(curve, u, v):
@@ -450,7 +441,7 @@ def branch_degree(curve, u, v):
         # u^2 = v^2 f is impossible for nonsingular f unless u = v = 0
         raise ZeroFunction("the zero function has no branch divisor")
     total = 1 if v and not u2 else 0
-    root_of = _square_roots(p)
+    squares = field.squares_table()
     for part, mult in squarefree_decomposition(p, norm):
         if mult % 2 == 1:
             # odd valuation upstairs at every prime of the part
@@ -462,7 +453,7 @@ def branch_degree(curve, u, v):
             if not v:
                 total += 2 * (len(rest) - 1)
             else:
-                total += 2 * _inert_degree(p, rest, cubic, root_of)
+                total += 2 * _inert_degree(p, rest, cubic, squares)
     return total
 
 

@@ -2,30 +2,50 @@
 
 The nonzero 2-torsion points of y^2 = x^3 + a*x + b sit over the roots of the
 cubic x^3 + a*x + b, so the Galois action is the q-power Frobenius permuting
-those roots inside their splitting field.  Everything here is phrased through
-that three-element root set:
+those roots inside their splitting field.  Two curves glue along their
+2-torsion into a genus-2 double cover of each (Kani's criterion) exactly
+when some Frobenius-equivariant isomorphism of the 2-torsion modules is NOT
+the restriction of a geometric isomorphism; gluing along a restriction
+degenerates instead of producing a smooth genus-2 curve.
 
-* module_isomorphisms: Frobenius-equivariant bijections between the root sets
-  of two curves (every bijection of nonzero elements extends to a group
-  isomorphism of the Klein four-groups, so bijections are the right objects);
-* scaling_set / geometric_restrictions: the x-scalings u^2 coming from
-  geometric isomorphisms E -> E', and the root bijections they induce;
-* kani_admissible: whether some equivariant isomorphism is NOT such a
-  restriction, which is exactly when the two curves can be glued along their
-  2-torsion into a genus-2 double cover of each.
+kani_admissible decides this by a closed form, rigidity_closed_form, read
+off the 2-torsion structure and j alone.  The proof is a count:
 
-kani_admissible builds modules only when counting cannot decide.  With
-different structures there is no equivariant isomorphism, so no gluing.  With
-different j-invariants there is no geometric isomorphism, so every
-equivariant isomorphism (and one exists) glues.  With the same j, distinct
-scalings induce distinct restrictions, so there are at most 1, 2 or 3
-restrictions (generic j, j = 1728, j = 0), against 6, 2 or 3 equivariant
-isomorphisms for Full, C2 or Trivial structure; whenever the isomorphisms
-outnumber the scalings one of them is not a restriction, and the pair glues.
-Only the rigid twist pairs are left: C2 at j = 1728, and C2 or Trivial at
-j = 0.  Those alone compare module isomorphisms with restrictions root by
-root.  The structure comes from the curve's x-line scan, so the factor route
-here (TwoTorsionModule.structure) stays an independent cross-check of it.
+* different structures: no equivariant isomorphism exists, so no gluing;
+* same structure, different j: no geometric isomorphism exists, so every
+  equivariant isomorphism (and one exists) glues;
+* same j: a geometric isomorphism acts on x by a scaling u^2, and distinct
+  scalings induce distinct root bijections, so there are at most 1, 2 or 3
+  restrictions (generic j, j = 1728, j = 0), against 6, 2 or 3 equivariant
+  isomorphisms for Full, C2 or Trivial structure (the cosets of the
+  centralizer of the Frobenius in S_3).  Whenever the isomorphisms outnumber
+  the scalings one of them is not a restriction, and the pair glues.
+
+That leaves the twist pairs at j = 1728 with C2 structure and at j = 0 with
+C2 or Trivial structure:
+
+* j = 1728, C2: the roots are 0 and +-sqrt(-a) with -a a non-square, so
+  a'/a is a square, both scalings +-sqrt(a'/a) are rational, and they induce
+  the two equivariant isomorphisms.  Rigid: no gluing.
+* j = 0, C2 (only for q = 2 mod 3, where cubing is a bijection): of the
+  three cube roots of b'/b exactly one is rational; it induces one of the
+  two equivariant isomorphisms, and the other two scalings send the rational
+  root to an irrational one, so they are not equivariant.  The pair glues.
+* j = 0, Trivial (only for q = 1 mod 3): the roots of x^3 + b are labelled
+  by mu_3, and the three scalings act as shifts.  When b'/b is a cube the two
+  Frobenius 3-cycles have the same orientation and the shifts are the three
+  equivariant isomorphisms (rigid); otherwise the orientations are opposite,
+  the shifts form the coset disjoint from the equivariant maps, and the pair
+  glues.
+
+The root-level test stays here as the reference the tests hold the closed
+form to: two_torsion_module factors the 2-division cubic and finds its roots
+and Frobenius over the splitting field, module_isomorphisms lists the
+equivariant root bijections, scaling_set / geometric_restrictions the
+bijections induced by geometric isomorphisms inside a compositum field, and
+all_isos_are_restrictions compares the two.  No production route calls them.
+The rule reads the structure from the curve's x-line scan, so the factor
+route here (TwoTorsionModule.structure) stays an independent check of it.
 
 Kani's gluing runs along an anti-isometry E[2] -> E'[2] for the Weil pairing,
 but on 2-torsion that pairing is -1 on every pair of distinct nonzero points,
@@ -53,10 +73,6 @@ from .ffield import (
 STRUCTURES = ("Full", "C2", "Trivial")
 
 _STRUCTURE_BY_DEGREES = {(1, 1, 1): "Full", (1, 2): "C2", (3,): "Trivial"}
-
-# equivariant root bijections between two modules of the same structure: the
-# centralizer of the Frobenius in S_3 has order 6, 2 or 3
-_ISO_COUNT = {"Full": 6, "C2": 2, "Trivial": 3}
 
 
 class TwoTorsionModule:
@@ -160,16 +176,6 @@ def scaling_set(curve1, curve2):
     return ext, tuple(found)
 
 
-def _scaling_count(curve):
-    """How many x-scalings scaling_set finds from curve to any curve of the
-    same j: 3 for j = 0, 2 for j = 1728, 1 otherwise."""
-    if curve.a.is_zero():
-        return 3
-    if curve.b.is_zero():
-        return 2
-    return 1
-
-
 @lru_cache(maxsize=None)
 def geometric_restrictions(curve1, curve2):
     """Root bijections induced by geometric isomorphisms, as sorted tuples.
@@ -203,19 +209,12 @@ def kani_admissible(curve1, curve2):
     """Whether the curves glue along 2-torsion into a genus-2 double cover.
 
     True when some equivariant module isomorphism is not the restriction of a
-    geometric isomorphism; gluing along a restriction degenerates instead of
-    producing a smooth genus-2 curve.  Counting settles every pair except the
-    rigid twist pairs (see the module docstring), which alone build modules.
+    geometric isomorphism, which is exactly when the pair is not rigid in the
+    sense of rigidity_closed_form (the module docstring proves the rule).
+    Reads only the 2-torsion structures, j and, for j = 0 Trivial pairs, the
+    cube class of b'/b: no root, module or extension field is built.
     """
-    structure = curve1.two_torsion()
-    if structure != curve2.two_torsion():
-        return False
-    if curve1.j_invariant() != curve2.j_invariant():
-        return True
-    if _ISO_COUNT[structure] > _scaling_count(curve1):
-        return True
-    restricted = set(geometric_restrictions(curve1, curve2))
-    return any(tau not in restricted for tau in module_isomorphisms(curve1, curve2))
+    return not rigidity_closed_form(curve1, curve2)
 
 
 def all_isos_are_restrictions(curve1, curve2):
@@ -224,8 +223,9 @@ def all_isos_are_restrictions(curve1, curve2):
     Vacuously true when no equivariant isomorphism exists at all.  For curves
     sharing a j-invariant and a 2-torsion structure this happens exactly in
     the two rigid cases: j = 0 with Trivial structure and b'/b a cube, and
-    j = 1728 with C2.  A cross-check: tests hold rigidity_closed_form, and
-    through it the exception flags of lambda_formula, to this subset test.
+    j = 1728 with C2.  The reference: tests hold rigidity_closed_form, and
+    through it kani_admissible and the exception flags of lambda_formula, to
+    this subset test.
     """
     restricted = set(geometric_restrictions(curve1, curve2))
     return all(tau in restricted for tau in module_isomorphisms(curve1, curve2))

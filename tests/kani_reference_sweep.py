@@ -1,0 +1,81 @@
+"""Sweep the closed-form Kani rule against the root-level module test.
+
+For every field F_q with q <= INVENTORY_CAP and characteristic > 3, compare
+galois2.kani_admissible with the reference (some Frobenius-equivariant
+isomorphism of the 2-torsion modules is not a restriction of a geometric
+isomorphism) on every ordered pair of classes sharing j = 0 or j = 1728,
+the only pairs where the rule is not settled by counting alone.  Prints one
+line of counts per field and exits 1 on any mismatch.
+
+Not collected by pytest (the file name has no test_ prefix); run it as
+
+    PYTHONPATH=src python tests/kani_reference_sweep.py
+"""
+
+import itertools
+import sys
+
+from lambda2.ecurve import INVENTORY_CAP, curve_inventory
+from lambda2.ffield import make_field, prime_power
+from lambda2.galois2 import (
+    geometric_restrictions,
+    kani_admissible,
+    module_isomorphisms,
+    two_torsion_module,
+)
+
+
+def sweep_fields(cap):
+    for q in range(5, cap + 1, 2):
+        try:
+            p, m = prime_power(q)
+        except ValueError:
+            continue
+        if p > 3:
+            yield p, m
+
+
+def sweep(p, m):
+    """(same-j pairs, pairs that glue, mismatching pairs) over F_{p^m}."""
+    special = [
+        E for E in curve_inventory(make_field(p, m)) if E.a.is_zero() or E.b.is_zero()
+    ]
+    pairs = glue = 0
+    mismatches = []
+    for E1, E2 in itertools.product(special, special):
+        if E1.j_invariant() != E2.j_invariant():
+            continue
+        isos = set(module_isomorphisms(E1, E2))
+        want = bool(isos - set(geometric_restrictions(E1, E2)))
+        got = kani_admissible(E1, E2)
+        pairs += 1
+        glue += got
+        if got is not want:
+            mismatches.append((E1, E2))
+    return pairs, glue, mismatches
+
+
+def main():
+    fields = total = bad = 0
+    for p, m in sweep_fields(INVENTORY_CAP):
+        pairs, glue, mismatches = sweep(p, m)
+        print(
+            f"q = {p ** m}: {pairs} same-j pairs at j = 0 or 1728,"
+            f" {glue} glue, {pairs - glue} do not, {len(mismatches)} mismatches",
+            flush=True,
+        )
+        for E1, E2 in mismatches:
+            print(f"  mismatch: {E1!r} / {E2!r}")
+        fields += 1
+        total += pairs
+        bad += len(mismatches)
+        # each field's inventory and modules are needed only once
+        curve_inventory.cache_clear()
+        two_torsion_module.cache_clear()
+        geometric_restrictions.cache_clear()
+    print(f"{fields} fields, {total} pairs, {bad} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

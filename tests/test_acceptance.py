@@ -77,7 +77,7 @@ def test_criterion1_f5_table_golden(tmp_path, capsys):
 # --- criterion 2: route agreement -------------------------------------------
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
 def test_criterion2_three_way_agreement(q):
     started = time.time()
     for curve in _curves(q):

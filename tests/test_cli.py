@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lambda2 import cli
+from lambda2 import cli, galois2
 from lambda2.classify import ADMISSIBLE_MAX_Q, admissible_traces, lambda_exact
 from lambda2.ecurve import INVENTORY_CAP, XLINE_MAX_Q, FieldTooLarge, curve_inventory
 from lambda2.ffield import field_of_order
@@ -172,8 +172,8 @@ def test_huge_q_is_refused_fast(argv, cap, tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
-# pools of perfbench/expected.json whose commands need no cache; their exit
-# codes and stdout digests were frozen from the CLI in fresh interpreters
+# pools of perfbench/expected.json, whose exit codes and stdout digests were
+# frozen from the CLI in fresh interpreters; the file is only read here
 FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 FROZEN_POOLS = (
     "formula_10k",
@@ -185,19 +185,61 @@ FROZEN_POOLS = (
     "kani37",
     "kani49",
     "admissible_1e7",
+    "cold25",
+    "cold43",
+    "cold49",
+    "cold59",
+    "kani_tables",
+    "verify7",
+    "warm_table",
+    "warm_verify",
+    "invalid",
 )
+# pools the benchmark runs on a cache that its set-up filled with table --q 49
+WARM_POOLS = ("warm_table", "warm_verify")
+
+
+def _frozen(pool):
+    return json.loads(FROZEN.read_text(encoding="utf-8"))["groups"][pool]
+
+
+def _replay(capsys, cmd):
+    # argparse refuses some inputs (table --q abc) by SystemExit, whose code
+    # is the exit status a fresh interpreter reports
+    try:
+        code = cli.main(cmd.split())
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("pool", FROZEN_POOLS)
-def test_frozen_answers_replay(pool, capsys):
-    commands = json.loads(FROZEN.read_text(encoding="utf-8"))["groups"][pool]
+def test_frozen_answers_replay(pool, tmp_path, capsys, monkeypatch):
+    commands = _frozen(pool)
     assert commands
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(tmp_path / pool))
+    if pool in WARM_POOLS:
+        assert run(capsys, "table", "--q", "49")[0] == 0
     for cmd, want in commands.items():
-        argv = cmd.split()
-        assert argv[0] in ("lambda", "admissible"), cmd
-        code, out, _ = run(capsys, *argv)
-        assert code == want["rc"], cmd
-        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], cmd
+        assert _replay(capsys, cmd) == (want["rc"], want["sha256"]), cmd
+
+
+def test_kani_answers_build_no_module(tmp_path, capsys, monkeypatch):
+    # the closed form decides every Kani pair: the root-level reference
+    # (modules, restrictions, factoring over extension fields) never runs
+    def refuse(*args):
+        raise AssertionError("a production route reached the root-level reference")
+
+    for name in ("two_torsion_module", "geometric_restrictions", "factor"):
+        monkeypatch.setattr(galois2, name, refuse)
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(tmp_path))
+    for pool, cmd in (
+        ("cold49", "table --q 49"),
+        ("kani49", "lambda --q 49 --a 0,0 --b 3,0 --mode kani"),
+    ):
+        want = _frozen(pool)[cmd]
+        assert _replay(capsys, cmd) == (want["rc"], want["sha256"]), cmd
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):

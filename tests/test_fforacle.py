@@ -311,7 +311,7 @@ def test_trace_and_oracle_guards():
     with pytest.raises(NotGenusTwo):
         cover_complementary_trace(E_F5, _poly(F5, [0, 1]), 0)
     with pytest.raises(FieldTooLarge):
-        lambda_oracle(make_curve(17, 1, 1))
+        lambda_oracle(make_curve(23, 1, 1))
     with pytest.raises(FieldTooLarge):
         lambda_oracle(curve_inventory(field_of_order(25))[0])
     # the branch test works on residues mod p: extension fields are refused,

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from lambda2 import galois2
 from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order, make_field
 from lambda2.galois2 import (
@@ -77,35 +76,36 @@ def test_x_line_structure_matches_factor_route(q):
         assert two_torsion_module(E).structure == E.two_torsion_structure(), E
 
 
-def test_kani_admissible_equals_full_module_test(monkeypatch):
-    # counting decides every pair but the rigid twist pairs; on those the
-    # root-level fallback must run, with both outcomes, and agree throughout
-    fallback = []
-    full_test = galois2.module_isomorphisms
+def _glues_by_roots(E1, E2):
+    # the root-level reference: some equivariant isomorphism of the 2-torsion
+    # modules is not the restriction of a geometric isomorphism
+    return bool(set(module_isomorphisms(E1, E2)) - set(geometric_restrictions(E1, E2)))
 
-    def recorded(E1, E2):
-        fallback.append((E1, E2))
-        return full_test(E1, E2)
 
-    monkeypatch.setattr(galois2, "module_isomorphisms", recorded)
-    outcomes = set()
+def test_kani_admissible_equals_full_module_test():
+    # the closed form against the root-level reference: every ordered pair
+    # over the small fields, and every ordered same-j pair at j = 0 or 1728
+    # over larger fields, where the twist pairs the counting argument leaves
+    # open live (j = 1728 C2, j = 0 C2 and j = 0 Trivial)
+    kinds = {}
     for q in (5, 7, 11, 13, 25):
         inv = curve_inventory(field_of_order(q))
         for E1, E2 in itertools.product(inv, inv):
-            del fallback[:]
+            assert kani_admissible(E1, E2) is _glues_by_roots(E1, E2), (E1, E2)
+    for q in (17, 19, 37, 43, 49, 59, 121, 125, 169):
+        inv = curve_inventory(field_of_order(q))
+        special = [E for E in inv if E.a.is_zero() or E.b.is_zero()]
+        for E1, E2 in itertools.product(special, special):
+            if E1.j_invariant() != E2.j_invariant():
+                continue
             got = kani_admissible(E1, E2)
-            if fallback:
-                assert fallback == [(E1, E2)]
-                structure = E1.two_torsion_structure()
-                assert E1.j_invariant() == E2.j_invariant()
-                if E1.a.is_zero():
-                    assert structure in ("C2", "Trivial"), (E1, E2)
-                else:
-                    assert E1.b.is_zero() and structure == "C2", (E1, E2)
-                outcomes.add(got)
-            isos = set(full_test(E1, E2))
-            assert got is bool(isos - set(geometric_restrictions(E1, E2))), (E1, E2)
-    assert outcomes == {True, False}
+            assert got is _glues_by_roots(E1, E2), (q, E1, E2)
+            if E1.two_torsion() == E2.two_torsion():
+                kind = ("j=0" if E1.a.is_zero() else "j=1728", E1.two_torsion())
+                kinds.setdefault(kind, set()).add(got)
+    assert kinds[("j=0", "Trivial")] == {True, False}
+    assert kinds[("j=1728", "C2")] == {False}
+    assert kinds[("j=0", "C2")] == {True}
 
 
 def test_two_torsion_module_is_cached():
