@@ -27,9 +27,9 @@ from .galois2 import kani_admissible
 
 LAMBDA_MODES = ("formula", "kani", "oracle")
 
-# the trial division behind prime_power and the Hasse-window walk both grow
-# with q; at this cap they take well under a second, and beyond it
-# admissible_traces refuses instead of running for minutes
+# the Hasse-window walk grows with sqrt(q); at this cap it takes well under
+# a second, and beyond it admissible_traces refuses instead of running for
+# minutes
 ADMISSIBLE_MAX_Q = 10**9
 
 

@@ -99,7 +99,7 @@ def _build_entry(q):
 
 
 def _load_or_build_entry(q, cache_dir):
-    # refuse before field_of_order, whose trial division is slow on a huge q
+    # refuse before building the field: the inventory is super-linear in q
     if q > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
     path = os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")

@@ -219,21 +219,62 @@ def _prime_divisors(n):
     return out
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this bound
+# (Sorenson and Webster 2015), which covers FIELD_SIZE_CAP
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; ValueError where it would not be exact."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {n} is not decided above {_MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, m):
+    """floor(n ** (1/m)) for integers n >= 1, m >= 1, by Newton's method."""
+    x = 1 << -(-n.bit_length() // m)  # at least the root
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q):
     """(p, m) with q = p**m; ValueError otherwise.
 
-    Even q is accepted: the trace arithmetic of classify serves any q.
+    Tries exponents from the largest down: only at m itself is the exact m-th
+    root of p**m a prime.  Even q is accepted: the trace arithmetic of
+    classify serves any q.
     """
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"{q!r} is not a prime power")
-    p = _least_factor(q)
-    n, m = q, 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, m
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, m)
+        if p >= 2 and p**m == q and _is_prime(p):
+            return p, m
+    raise ValueError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +570,7 @@ def field_of_order(q):
 def _make_field(p, m):
     if not isinstance(p, int) or not isinstance(m, int):
         raise TypeError("p and m must be integers")
-    if p < 2 or _least_factor(p) != p:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("even characteristic is not supported")

@@ -5,12 +5,13 @@ the Riemann-Roch space of 4*O, i.e. g = u(x) + v*y with deg u <= 2 and v a
 scalar (a pole-order argument plus translation by 2-torsion classes shows
 nothing outside that space produces new covers).  The cover has genus 2
 exactly when the branch divisor of the quadratic extension has degree 2, a
-condition read off the squarefree decomposition of the norm u^2 - v^2*f
-without ever constructing the extension.  For v != 0, a prime coprime to f
-whose multiplicity in the norm is 2 mod 4 branches exactly when it is inert
-under the cover by E; for an irreducible quadratic prime that is decided by
-the norm criterion (the value of f at a root is a square in F_{p^2} iff its
-norm to F_p is a square in F_p), so no extension field is ever built.
+condition read off the norm u^2 - v^2*f without ever constructing the
+extension.  For v != 0 the norm has degree 3 or 4, and when its discriminant
+is nonzero mod p it is squarefree: every prime of it branches and the degree
+is 4, so most covers are rejected by one closed form.  The other norms go
+through the squarefree decomposition, where a prime of odd multiplicity
+branches and a prime of multiplicity 2 mod 4 coprime to f branches only when
+v = 0 (branch_degree gives the argument).
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -24,10 +25,11 @@ theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
 The census runs on residues mod p: the oracle serves prime fields of order
-at most ORACLE_MAX_Q = 19 only, so the branch test and the place count work
-on plain ints, and field objects appear only in the local expansions at the
-zeros of g.  cover_point_count keeps the object count, which also runs over
-F_{q^2}, as the reference the tests hold the census to.
+at most ORACLE_MAX_Q = 19 only, so cover_representatives yields residues, and
+the branch test, the place count and the local units at the zeros of g all
+work on plain ints.  Field objects appear once per point of E, to build its
+local expansions.  cover_point_count keeps the object count, which also runs
+over F_{q^2}, as the reference the tests hold the census to.
 
 A second, slower route to the same branch data is also exposed: factor the
 norm into irreducibles, realize every place above every factor with an
@@ -47,7 +49,6 @@ from .ffield import (
     make_field,
     pp_divmod,
     pp_gcd,
-    pp_rem,
     roots,
     sqrt,
     squarefree_decomposition,
@@ -382,55 +383,57 @@ def divisor_odd_part(curve, g):
     return DivisorSketch(entries)
 
 
-def _inert_degree(p, rest, cubic, squares):
-    """Total degree of the places of rest staying prime in the cover by E.
+def squarefree_by_discriminant(p, f):
+    """Whether the int list f of degree 3 or 4 over F_p, p >= 5, is squarefree.
 
-    rest is a monic squarefree int list, coprime to the curve cubic, of
-    degree at most 2: its prime factors are read off directly instead of
-    running a general factorization.  squares is the field's square table.
-    A root r is inert when cubic(r) is a nonsquare.  For an irreducible
-    x^2 + s*x + t with root rho, cubic(rho) is a square in F_{p^2} iff its
-    norm to F_p is a square; with cubic mod rest = c1*x + c0 that norm is
-    c1^2*t - c0*c1*s + c0^2.  The roots of a split quadratic are found by
-    scanning the residues, since p is at most ORACLE_MAX_Q.
+    For f = a*x^4 + b*x^3 + c*x^2 + d*x + e take the invariants
+    I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27b^2e - 2c^3.  Then
+    4I^3 - J^2 is 27 times the discriminant of f, and for a = 0 it is 27*b^2
+    times the discriminant of the cubic.  With p >= 5 and a nonzero leading
+    coefficient it vanishes mod p exactly when f has a repeated factor.
     """
-    if len(rest) == 2:
-        linear = [-rest[0] % p]
-    else:
-        t, s = rest[0], rest[1]
-        if not squares[(s * s - 4 * t) % p]:
-            c0, c1 = (pp_rem(p, cubic, rest) + [0, 0])[:2]
-            return 0 if squares[(c1 * c1 * t - c0 * c1 * s + c0 * c0) % p] else 2
-        linear = [x for x in range(p) if (t + x * (s + x)) % p == 0]
-    b, a = cubic[0], cubic[1]
-    return sum(1 for x in linear if not squares[(b + x * (a + x * x)) % p])
+    e, d, c, b, a = f if len(f) == 5 else (*f, 0)
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c * c * c
+    return (4 * i * i * i - j * j) % p != 0
 
 
 def branch_degree(curve, u, v):
     """Degree of the branch divisor of w^2 = u(x) + v*y over the curve.
 
-    Computed from the squarefree decomposition of the norm u^2 - v^2*f: a
-    prime of multiplicity w ramifies in the quadratic extension exactly when
-    the local valuation of g is odd, which depends only on w mod 4 and on how
-    the prime behaves under the cover by E (ramified at a root of f, split
-    when f is a square in its residue field, inert otherwise).
+    u is a sequence of at most three residues (u0, u1, u2) and v a residue,
+    as cover_representatives yields them.  The curve must live over a prime
+    field (NotPrimeField otherwise); u = v = 0 raises ZeroFunction.
 
-    u (a Polynomial or coefficient sequence of degree at most 2) and v may be
-    ints or elements of the curve's field; everything is reduced to residues
-    mod p, so the curve must live over a prime field (NotPrimeField
-    otherwise).  u = v = 0 raises ZeroFunction.
+    A prime of multiplicity w in the norm N = u^2 - v^2*f branches when g has
+    odd valuation at a place above it.  Odd w: the prime ramifies in E (one
+    place of valuation w) or splits (valuations summing to w), so it adds its
+    degree.  w = 0 mod 4, or a prime dividing f: all valuations even.  For
+    w = 2 mod 4 and a prime coprime to f, v = 0 gives valuation w/2 at every
+    place above it (total degree 2*deg); v != 0 gives nothing.  At a root r,
+    u(r)^2 = v^2*f(r), so f(r) = (u(r)/v)^2 is a square and the prime is never
+    inert.  At a split prime, g and its conjugate u - v*y cannot both vanish
+    at one place (2*v*y would, and y != 0 there), so one place takes the
+    whole even w.  Infinity adds one place when v != 0 and u2 = 0.
+
+    Gate: for v != 0, N has degree 4 (leading u2^2) or, if u2 = 0, degree 3
+    (leading -v^2).  A squarefree N has only odd multiplicities, so the degree
+    is deg N + [u2 = 0] = 4; squarefree_by_discriminant settles that, and only
+    the remaining norms reach squarefree_decomposition.
     """
     field = curve.field
     if field.m != 1:
         raise NotPrimeField(f"the branch test works mod p; {field!r} is not a prime field")
     p = field.p
-    u0, u1, u2 = (c.coeffs[0] for c in _as_triple(field, u))
-    v = v % p if isinstance(v, int) else field.element(v).coeffs[0]
-    cubic = [curve.b.coeffs[0], curve.a.coeffs[0], 0, 1]
+    u0, u1, u2, *high = [c % p for c in u] + [0] * (3 - len(u))
+    if any(high):
+        raise ValueError("u must have degree at most 2")
+    v %= p
+    a, b = curve.a.coeffs[0], curve.b.coeffs[0]
     vv = v * v
     norm = [
-        (u0 * u0 - vv * cubic[0]) % p,
-        (2 * u0 * u1 - vv * cubic[1]) % p,
+        (u0 * u0 - vv * b) % p,
+        (2 * u0 * u1 - vv * a) % p,
         (u1 * u1 + 2 * u0 * u2) % p,
         (2 * u1 * u2 - vv) % p,
         u2 * u2 % p,
@@ -440,20 +443,16 @@ def branch_degree(curve, u, v):
     if not norm:
         # u^2 = v^2 f is impossible for nonsingular f unless u = v = 0
         raise ZeroFunction("the zero function has no branch divisor")
+    if v and squarefree_by_discriminant(p, norm):
+        return 4
+    cubic = [b, a, 0, 1]
     total = 1 if v and not u2 else 0
-    squares = field.squares_table()
     for part, mult in squarefree_decomposition(p, norm):
         if mult % 2 == 1:
-            # odd valuation upstairs at every prime of the part
             total += len(part) - 1
-        elif mult % 4 == 2:
+        elif mult % 4 == 2 and not v:
             rest = pp_divmod(p, part, pp_gcd(p, part, cubic))[0]
-            if len(rest) == 1:
-                continue
-            if not v:
-                total += 2 * (len(rest) - 1)
-            else:
-                total += 2 * _inert_degree(p, rest, cubic, squares)
+            total += 2 * (len(rest) - 1)
     return total
 
 
@@ -479,11 +478,17 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
     return total
 
 
+def _residue_powers(curve, x0, y0):
+    """The expansions of _point_powers at an int point, as residue lists."""
+    elem = curve.field.element
+    return tuple([c.coeffs[0] for c in s] for s in _point_powers(curve, elem(x0), elem(y0)))
+
+
 def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
     """_count_places on residues mod p: int points, int u and v, and the
-    field's square table indexed by residue; the object _local_unit runs only
-    at zeros of g, on point expansions kept in the caller's dict powers, keyed
-    by int point."""
+    field's square table indexed by residue.  At a zero of g the valuation and
+    unit are read off the point's expansions (x, x^2, y) as int lists, built
+    once per point and kept in the caller's dict powers, keyed by int point."""
     p = curve.field.p
     u0, u1, u2 = ucoeffs
     if v and not u2:
@@ -496,16 +501,22 @@ def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
         if val:
             if squares[val]:
                 total += 2
+            continue
+        at = powers.get((x0, y0))
+        if at is None:
+            at = powers[x0, y0] = _residue_powers(curve, x0, y0)
+        xs, x2, ys = at
+        # the constant term is val = 0
+        for w in range(1, SERIES_PRECISION):
+            unit = (u1 * xs[w] + u2 * x2[w] + v * ys[w]) % p
+            if unit:
+                break
         else:
-            elem = curve.field.element
-            at = powers.get((x0, y0))
-            if at is None:
-                at = powers[x0, y0] = _point_powers(curve, elem(x0), elem(y0))
-            w, unit = _local_unit(tuple(map(elem, ucoeffs)), elem(v), at)
-            if w % 2 == 1:
-                total += 1
-            elif squares[unit.coeffs[0]]:
-                total += 2
+            raise InvariantViolation("zero of unexpected multiplicity")
+        if w % 2 == 1:
+            total += 1
+        elif squares[unit]:
+            total += 2
     return total
 
 
@@ -540,7 +551,7 @@ def cover_complementary_trace(curve, u, v):
     ucoeffs = _as_triple(field, u)
     if isinstance(v, int):
         v = field.element(v)
-    if branch_degree(curve, ucoeffs, v) != 2:
+    if branch_degree(curve, [c.coeffs[0] for c in ucoeffs], v.coeffs[0]) != 2:
         raise NotGenusTwo("the branch divisor does not have degree 2")
     q = field.order
     a = curve.trace()
@@ -568,23 +579,26 @@ def _as_triple(field, u):
 def cover_representatives(field):
     """Generators of the quadratic extensions, one per square-scaling class.
 
-    Scaling g by a square changes nothing, so v is pinned to 0, 1 or the
-    canonical nonsquare, and for v = 0 the polynomial u is monic up to that
-    same nonsquare.  Constants are skipped (they give the trivial cover).
+    Yields residue triples (u0, u1, u2) and a residue v, so the field must be
+    prime (NotPrimeField otherwise).  Scaling g by a square changes nothing,
+    so v is pinned to 0, 1 or the canonical nonsquare, and for v = 0 the
+    polynomial u is monic up to that same nonsquare.  Constants are skipped
+    (they give the trivial cover).
     """
-    zero, one = field.zero, field.one
-    nu = field.nonsquare()
-    elems = tuple(field.elements())
-    for scale in (one, nu):
-        for c0 in elems:
-            yield (c0 * scale, scale, zero), zero
-        for c0 in elems:
-            for c1 in elems:
-                yield (c0 * scale, c1 * scale, scale), zero
-    for v in (one, nu):
-        for u0 in elems:
-            for u1 in elems:
-                for u2 in elems:
+    if field.m != 1:
+        raise NotPrimeField(f"covers are enumerated mod p; {field!r} is not a prime field")
+    p = field.p
+    nu = field.nonsquare().coeffs[0]
+    for scale in (1, nu):
+        for c0 in range(p):
+            yield (c0 * scale % p, scale, 0), 0
+        for c0 in range(p):
+            for c1 in range(p):
+                yield (c0 * scale % p, c1 * scale % p, scale), 0
+    for v in (1, nu):
+        for u0 in range(p):
+            for u1 in range(p):
+                for u2 in range(p):
                     yield (u0, u1, u2), v
 
 
@@ -597,11 +611,9 @@ def cover_census(curve):
     points = [(x.coeffs[0], y.coeffs[0]) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
-    powers = {}  # local expansions per point, shared by every cover
+    powers = {}  # residue expansions per point, shared by every cover
     counts = {}
     for ucoeffs, v in cover_representatives(field):
-        ucoeffs = tuple(c.coeffs[0] for c in ucoeffs)
-        v = v.coeffs[0]
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
         ap = base - _count_places_mod_p(curve, points, squares, ucoeffs, v, powers)

@@ -157,8 +157,8 @@ def test_admissible_rejects_huge_q_fast(capsys):
     ids=["lambda", "table", "verify"],
 )
 def test_huge_q_is_refused_fast(argv, cap, tmp_path, capsys, monkeypatch):
-    # field_of_order would trial-divide this prime for hours, so the cap must
-    # be checked before it; the stand-in fails at once instead of hanging
+    # every route past field_of_order is at least linear in q, so the cap
+    # must be checked before it; the stand-in fails if it is reached
     def factoring(q):
         raise AssertionError(f"field_of_order({q}) ran before the cap check")
 
@@ -190,6 +190,8 @@ FROZEN_POOLS = (
     "cold49",
     "cold59",
     "kani_tables",
+    "oracle11",
+    "oracle13",
     "verify7",
     "warm_table",
     "warm_verify",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,8 +11,10 @@ from lambda2.ffield import (
     ZeroPolynomial,
     embedding,
     factor,
+    field_of_order,
     is_square,
     make_field,
+    prime_power,
     roots,
     sqrt,
 )
@@ -33,6 +36,37 @@ def test_make_field_rejects_bad_parameters():
         make_field(5, 0)
     with pytest.raises(ValueError):
         make_field(3, 60)  # over the size cap
+
+
+def test_prime_power_matches_trial_division():
+    def reference(q):
+        d = 2
+        while q % d:
+            d += 1
+        n, m = q, 0
+        while n % d == 0:
+            n //= d
+            m += 1
+        return (d, m) if n == 1 else None
+
+    for q in range(2, 20000):
+        try:
+            got = prime_power(q)
+        except ValueError:
+            got = None
+        assert got == reference(q), q
+
+
+def test_field_of_order_is_fast_on_huge_q():
+    # a prime near 10^18 and a product of two primes near 10^9 are decided by
+    # integer roots and Miller-Rabin, not by trial division up to 10^9
+    started = time.perf_counter()
+    assert field_of_order(10**18 + 3).order == 10**18 + 3
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="not a prime power"):
+        field_of_order((10**9 + 7) * (10**9 + 9))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_canonical_modulus_is_lex_smallest():

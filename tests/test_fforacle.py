@@ -1,8 +1,18 @@
+import itertools
+import random
+
 import pytest
 
 from lambda2.classify import lambda_exact
 from lambda2.ecurve import FieldTooLarge, curve_inventory, make_curve
-from lambda2.ffield import Polynomial, factor, field_of_order, make_field
+from lambda2.ffield import (
+    Polynomial,
+    factor,
+    field_of_order,
+    make_field,
+    pp_monic,
+    squarefree_decomposition,
+)
 from lambda2.fforacle import (
     INFINITE_PLACE,
     EllipticFunction,
@@ -19,6 +29,7 @@ from lambda2.fforacle import (
     local_valuation,
     norm_polynomial,
     places_above,
+    squarefree_by_discriminant,
 )
 
 # same frozen table as test_classify: the enumeration route must land on the
@@ -47,18 +58,40 @@ def _poly(field, coeffs):
 
 
 def test_branch_degree_hand_checked():
-    zero = F5.zero
     # x + 1 is inert at its zero (f(-1) = 3 is a nonsquare): one degree-2
     # branch place, genus 2
-    assert branch_degree(E_F5, _poly(F5, [1, 1]), zero) == 2
+    assert branch_degree(E_F5, (1, 1), 0) == 2
     # x vanishes doubly at the 2-torsion point (0,0): unramified, genus 1
-    assert branch_degree(E_F5, _poly(F5, [0, 1]), zero) == 0
+    assert branch_degree(E_F5, (0, 1), 0) == 0
     # x^2 + x picks up the split zero at x = -1 again
-    assert branch_degree(E_F5, _poly(F5, [0, 1, 1]), zero) == 2
+    assert branch_degree(E_F5, (0, 1, 1), 0) == 2
     # y alone ramifies at all three 2-torsion points and at infinity
-    assert branch_degree(E_F5, _poly(F5, []), F5.one) == 4
+    assert branch_degree(E_F5, (), 1) == 4
     # constants give the trivial (disconnected or base) extension
-    assert branch_degree(E_F5, _poly(F5, [3]), zero) == 0
+    assert branch_degree(E_F5, (3,), 0) == 0
+
+
+def test_discriminant_gate_matches_squarefree_decomposition():
+    # every cubic and quartic over F_5 and F_7, then seeded random ones over
+    # F_11 to F_19, against the squarefree decomposition
+    def cases():
+        for p in (5, 7):
+            for deg in (3, 4):
+                for low in itertools.product(range(p), repeat=deg):
+                    for lead in range(1, p):
+                        yield p, [*low, lead]
+        rng = random.Random(0x5EED)
+        for p in (11, 13, 17, 19):
+            for _ in range(1000):
+                low = [rng.randrange(p) for _ in range(rng.choice((3, 4)))]
+                yield p, low + [rng.randrange(1, p)]
+
+    seen = set()
+    for p, f in cases():
+        want = squarefree_decomposition(p, f) == [(pp_monic(p, f), 1)]
+        assert squarefree_by_discriminant(p, f) == want, (p, f)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_branch_degree_always_even():
@@ -144,9 +177,10 @@ def test_cover_representatives_shape():
     assert len(reps) == 2 * q**3 + 2 * q**2 + 2 * q
     assert len(set(reps)) == len(reps)
     for (u0, u1, u2), v in reps:
-        # never the constant function
-        assert not (v.is_zero() and u1.is_zero() and u2.is_zero())
-        assert v.is_zero() or v in (F5.one, F5.nonsquare())
+        # residues mod p, never the constant function
+        assert all(c in range(q) for c in (u0, u1, u2))
+        assert v or u1 or u2
+        assert v in (0, 1, F5.nonsquare().coeffs[0])
 
 
 def test_oracle_lambda_set_mode():
@@ -235,14 +269,14 @@ def test_divisor_odd_part_examples():
 def _doubled_prime_cases(curve, ucoeffs, v):
     """Which doubled-prime cases of branch_degree the input reaches, read off
     a full factorization of the norm: a prime of multiplicity 2 mod 4 coprime
-    to the cubic, for v = 0, or as an irreducible quadratic with v != 0 (the
-    norm criterion), tagged with how the divisor route splits it."""
+    to the cubic, for v = 0, or as an irreducible quadratic with v != 0,
+    tagged with how the divisor route splits it."""
     cubic = Polynomial(curve.field, [curve.b, curve.a, 0, 1])
     cases = set()
     for h, mult in factor(norm_polynomial(curve, (ucoeffs, v))):
         if mult % 4 != 2 or (cubic % h).is_zero():
             continue
-        if v.is_zero():
+        if not v:
             cases.add("v = 0")
         elif h.degree() == 2:
             cases.add("quadratic " + places_above(curve, h)[0].kind)
@@ -263,23 +297,22 @@ def test_divisor_route_agrees_with_branch_degree():
                 q, a, b, ucoeffs, v,
             )
             reached |= _doubled_prime_cases(curve, ucoeffs, v)
-    # the v = 0 case and the norm criterion on an irreducible quadratic prime
-    # both ran; with v != 0 such a prime always splits, since an inert one
-    # would be a degree-4 place P with div(g) = P - 4*O = div(h(x))
+    # the v = 0 case and an irreducible quadratic prime with v != 0 both ran;
+    # with v != 0 such a prime always splits, since f = (u/v)^2 at its roots
     assert reached == {"v = 0", "quadratic split-plus"}
 
 
 def test_scaling_by_square_leaves_counts_alone():
     curve = make_curve(5, 2, 1)
-    c2 = F5.element(4)
     checked = 0
     for ucoeffs, v in cover_representatives(F5):
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        scaled = tuple(c2 * c for c in ucoeffs)
-        assert branch_degree(curve, scaled, c2 * v) == 2
+        # 4 = 2^2 in F_5
+        scaled = tuple(4 * c % 5 for c in ucoeffs)
+        assert branch_degree(curve, scaled, 4 * v % 5) == 2
         for k in (1, 2):
-            assert cover_point_count(curve, scaled, c2 * v, k=k) == (
+            assert cover_point_count(curve, scaled, 4 * v % 5, k=k) == (
                 cover_point_count(curve, ucoeffs, v, k=k)
             )
         checked += 1
@@ -318,6 +351,8 @@ def test_trace_and_oracle_guards():
     # and so are u of degree above 2 and the zero function
     with pytest.raises(NotPrimeField):
         branch_degree(curve_inventory(field_of_order(25))[0], (0, 1), 0)
+    with pytest.raises(NotPrimeField):
+        next(cover_representatives(field_of_order(25)))
     with pytest.raises(ValueError):
         branch_degree(E_F5, (1, 0, 0, 1), 0)
     with pytest.raises(ZeroFunction):
