@@ -180,7 +180,7 @@ def lambda_formula(curve):
     otherwise-valid candidates; which ones die depends on the curve).
     """
     q = curve.field.order
-    structure = curve.two_torsion()
+    structure = curve.two_torsion_structure()
     admissible = admissible_traces(q).traces
     if structure == "Trivial":
         candidates = [a for a in admissible if a % 2 == 1]
@@ -264,7 +264,7 @@ def isogeny_class_two_torsion_profile(q, a):
         raise NotAdmissible(f"trace {a} is not admissible for q={q}")
     field = field_of_order(q)
     found = {
-        curve.two_torsion()
+        curve.two_torsion_structure()
         for curve in _classes_by_trace(field).get(a, ())
     }
     if not found:

@@ -84,7 +84,7 @@ def _build_entry(q):
                 "b": str(curve.b),
                 "j": str(curve.j_invariant()),
                 "a_q": curve.trace(),
-                "two_torsion": curve.two_torsion(),
+                "two_torsion": curve.two_torsion_structure(),
                 "supersingular": curve.is_supersingular(),
                 "aut_count": curve.automorphism_count(),
                 "lambda": {
@@ -206,7 +206,7 @@ def cmd_lambda(args):
         "curve": {"a": str(curve.a), "b": str(curve.b)},
         "a_q": curve.trace(),
         "j": str(curve.j_invariant()),
-        "two_torsion": curve.two_torsion(),
+        "two_torsion": curve.two_torsion_structure(),
         "d": args.d,
         "mode": args.mode,
         "traces": list(lam.traces),

@@ -5,19 +5,18 @@ Weierstrass model and the usual j-invariant, twist, and automorphism formulas
 apply verbatim.  Points are (x, y) tuples of field elements with None for the
 point at infinity.
 
-Traces are counted on the x-line.  Over a prime field the scan runs on plain
-residues: one pass over x in range(p) computes v = (x*x + a)*x + b mod p,
-counts the roots of the cubic and reads the quadratic character of v from
-the field's square table, so #E(F_p) = 1 + #roots + 2*#{x : v a nonzero
-square}.  Over an extension field the same sum runs on field elements
-(_chi).  The rational 2-torsion structure is the root count of the same
-scan.  Traces over F_{q^k} follow from the trace over F_q by the Frobenius
-recursion, without another scan.  affine_points stays on field elements; the
-tests hold the residue counts to it.
+Each curve makes one memoized x-line pass (_xline): it takes the index of
+v = x^3 + a*x + b for every x (plain residues ((x*x + a)*x + b) % p over a
+prime field, rhs(x).index over an extension field), counts the roots of the
+cubic and looks every nonzero v up in the field's square table, so
+#E(F_q) = 1 + #roots + 2*#{x : v a nonzero square}.  point_count() and
+two_torsion_structure() read that pass; traces over F_{q^k} follow by the
+Frobenius recursion.  affine_points stays on field elements; the tests hold
+the counts to it.
 
-Curve enumeration and the isomorphism-class inventory are deterministic: curves
-are ordered by the canonical element order of (a, b), and each class is
-represented by its lexicographically smallest member.
+The isomorphism-class inventory is deterministic: models are walked in the
+canonical element order of (a, b), and each class is represented by its
+lexicographically smallest member.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ffield import FieldElement, embedding, field_of_order, is_square, make_field
+from .ffield import embedding, field_of_order, is_square, make_field
 
 # full inventories are only meaningful while the x-line scan stays cheap
 INVENTORY_CAP = 343
@@ -48,7 +47,7 @@ class FieldTooLarge(ValueError):
 class EllipticCurve:
     """y^2 = x^3 + a*x + b over a fixed finite field, validated on creation."""
 
-    __slots__ = ("field", "a", "b", "_trace", "_j", "_structure")
+    __slots__ = ("field", "a", "b", "_trace", "_j", "_counts")
 
     def __init__(self, field, a, b):
         if field.p <= 3:
@@ -64,7 +63,7 @@ class EllipticCurve:
         self.b = b
         self._trace = None
         self._j = None
-        self._structure = None
+        self._counts = None
 
     # -- basic invariants ---------------------------------------------------
 
@@ -103,28 +102,34 @@ class EllipticCurve:
         """Every rational point, infinity (None) first."""
         return [None] + self.affine_points()
 
+    def _xline(self):
+        """(#E(F_q), number of rational roots of the cubic), from one pass."""
+        if self._counts is None:
+            field = self.field
+            if field.m == 1:
+                p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
+                values = (((x * x + a) * x + b) % p for x in range(p))
+            else:
+                values = (self.rhs(x).index for x in field.elements())
+            squares = field.squares_table()
+            roots = hits = 0
+            for v in values:
+                if v:
+                    hits += squares[v]
+                else:
+                    roots += 1
+            self._counts = (1 + roots + 2 * hits, roots)
+        return self._counts
+
     def point_count(self, k=1):
         """Number of points over the degree-k extension.
 
-        k = 1 is a direct character sum across the x-line, on residues for a
-        prime field; larger k follows from the Frobenius eigenvalue recursion
-        t_k = t_1*t_{k-1} - q*t_{k-2}.
+        k = 1 reads the x-line pass; larger k follows from the Frobenius
+        eigenvalue recursion t_k = t_1*t_{k-1} - q*t_{k-2}.
         """
-        field = self.field
         if k != 1:
-            return field.order**k + 1 - self.trace_over(k)
-        if field.m > 1:
-            return field.order + 1 + sum(_chi(self.rhs(x)) for x in field.elements())
-        p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
-        squares = field.squares_table()
-        roots = hits = 0
-        for x in range(p):
-            v = ((x * x + a) * x + b) % p
-            if v:
-                hits += squares[v]
-            else:
-                roots += 1
-        return 1 + roots + 2 * hits
+            return self.field.order**k + 1 - self.trace_over(k)
+        return self._xline()[0]
 
     def trace(self):
         if self._trace is None:
@@ -146,25 +151,11 @@ class EllipticCurve:
     def two_torsion_structure(self):
         """Rational 2-torsion shape: "Full", "C2" or "Trivial".
 
-        Counted through the rational roots of the division cubic (3, 1, 0
-        roots respectively; 2 is impossible for a squarefree cubic).  Each
-        call scans the x-line, on residues for a prime field; two_torsion()
-        keeps the answer.
+        Read from the root count of the x-line pass: the division cubic has
+        3, 1 or 0 rational roots respectively (2 is impossible for a
+        squarefree cubic).
         """
-        field = self.field
-        if field.m > 1:
-            hits = sum(1 for x in field.elements() if self.rhs(x).is_zero())
-        else:
-            p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
-            hits = sum(1 for x in range(p) if not ((x * x + a) * x + b) % p)
-        return {3: "Full", 1: "C2", 0: "Trivial"}[hits]
-
-    def two_torsion(self):
-        """two_torsion_structure(), scanned once per curve and kept, as trace()
-        keeps point_count()."""
-        if self._structure is None:
-            self._structure = self.two_torsion_structure()
-        return self._structure
+        return {3: "Full", 1: "C2", 0: "Trivial"}[self._xline()[1]]
 
     # -- twists, isomorphism, automorphisms ----------------------------------
 
@@ -232,12 +223,6 @@ class EllipticCurve:
         return f"EllipticCurve(y^2 = x^3 + ({self.a})*x + ({self.b}) over {self.field!r})"
 
 
-def _chi(v):
-    if v.is_zero():
-        return 0
-    return 1 if is_square(v) else -1
-
-
 def _both_roots(v):
     from .ffield import sqrt
 
@@ -262,32 +247,37 @@ def enumerate_curves(field):
     if field.order > INVENTORY_CAP:
         raise FieldTooLarge(f"enumeration is capped at field size {INVENTORY_CAP}")
     for a in field.elements():
-        a3 = 4 * a * a * a
         for b in field.elements():
-            if not (a3 + 27 * b * b).is_zero():
+            try:
                 yield EllipticCurve(field, a, b)
+            except SingularCurve:
+                pass
 
 
 @lru_cache(maxsize=None)
 def curve_inventory(field):
     """One representative per isomorphism class, lex-ordered by (a, b).
 
-    Walking models in canonical order and skipping anything already seen makes
-    each first-seen model automatically the lex-smallest in its orbit.
+    Models are walked by (a.index, b.index) and a model already seen in an
+    orbit is skipped before any curve is built, so each curve built is the
+    lex-smallest member of its orbit, or a singular model the constructor
+    rejects.
     """
     if field.order > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
-    us = list(field.nonzero_elements())
-    u4s = [u * u * u * u for u in us]
-    u6s = [u4 * u * u for u4, u in zip(u4s, us)]
+    elems = list(field.elements())
+    u4s = [u * u * u * u for u in elems[1:]]
+    u6s = [u4 * u * u for u4, u in zip(u4s, elems[1:])]
     seen = set()
     reps = []
-    for curve in enumerate_curves(field):
-        key = (curve.a.index, curve.b.index)
-        if key in seen:
-            continue
-        reps.append(curve)
-        for u4, u6 in zip(u4s, u6s):
-            orb = (u4 * curve.a, u6 * curve.b)
-            seen.add((orb[0].index, orb[1].index))
+    for ai, a in enumerate(elems):
+        for bi, b in enumerate(elems):
+            if (ai, bi) in seen:
+                continue
+            try:
+                curve = EllipticCurve(field, a, b)
+            except SingularCurve:
+                continue
+            reps.append(curve)
+            seen.update(((u4 * a).index, (u6 * b).index) for u4, u6 in zip(u4s, u6s))
     return tuple(reps)

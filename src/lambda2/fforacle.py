@@ -8,10 +8,10 @@ exactly when the branch divisor of the quadratic extension has degree 2, a
 condition read off the norm u^2 - v^2*f without ever constructing the
 extension.  For v != 0 the norm has degree 3 or 4, and when its discriminant
 is nonzero mod p it is squarefree: every prime of it branches and the degree
-is 4, so most covers are rejected by one closed form.  The other norms go
-through the squarefree decomposition, where a prime of odd multiplicity
-branches and a prime of multiplicity 2 mod 4 coprime to f branches only when
-v = 0 (branch_degree gives the argument).
+is 4, so most covers are rejected by one closed form.  For v = 0 the degree
+follows from u alone.  The other norms go through the squarefree
+decomposition, where a prime branches exactly when its multiplicity is odd
+(branch_degree gives the argument).
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -47,8 +47,8 @@ from .ffield import (
     factor,
     is_square,
     make_field,
-    pp_divmod,
     pp_gcd,
+    pp_trim,
     roots,
     sqrt,
     squarefree_decomposition,
@@ -405,16 +405,18 @@ def branch_degree(curve, u, v):
     as cover_representatives yields them.  The curve must live over a prime
     field (NotPrimeField otherwise); u = v = 0 raises ZeroFunction.
 
-    A prime of multiplicity w in the norm N = u^2 - v^2*f branches when g has
-    odd valuation at a place above it.  Odd w: the prime ramifies in E (one
-    place of valuation w) or splits (valuations summing to w), so it adds its
-    degree.  w = 0 mod 4, or a prime dividing f: all valuations even.  For
-    w = 2 mod 4 and a prime coprime to f, v = 0 gives valuation w/2 at every
-    place above it (total degree 2*deg); v != 0 gives nothing.  At a root r,
+    v = 0: g = u(x), and a prime of u of multiplicity w has valuation w at
+    each place above it, or 2w when it divides f (it ramifies in E).  With
+    deg u <= 2, u is a constant times a square (u2 != 0, u1^2 = 4*u0*u2) and
+    branches nowhere, or is squarefree: degree 2*(deg u - deg gcd(u, f)).
+
+    v != 0: a prime of multiplicity w in N = u^2 - v^2*f adds its degree when
+    w is odd: it ramifies in E (one place of valuation w) or splits
+    (valuations summing to w).  Even w adds nothing.  At a root r,
     u(r)^2 = v^2*f(r), so f(r) = (u(r)/v)^2 is a square and the prime is never
     inert.  At a split prime, g and its conjugate u - v*y cannot both vanish
     at one place (2*v*y would, and y != 0 there), so one place takes the
-    whole even w.  Infinity adds one place when v != 0 and u2 = 0.
+    whole even w.  Infinity adds one place when u2 = 0.
 
     Gate: for v != 0, N has degree 4 (leading u2^2) or, if u2 = 0, degree 3
     (leading -v^2).  A squarefree N has only odd multiplicities, so the degree
@@ -443,17 +445,15 @@ def branch_degree(curve, u, v):
     if not norm:
         # u^2 = v^2 f is impossible for nonsingular f unless u = v = 0
         raise ZeroFunction("the zero function has no branch divisor")
-    if v and squarefree_by_discriminant(p, norm):
+    if not v:
+        if u2 and (u1 * u1 - 4 * u0 * u2) % p == 0:
+            return 0
+        ucoeffs = pp_trim([u0, u1, u2])
+        return 2 * (len(ucoeffs) - len(pp_gcd(p, ucoeffs, [b, a, 0, 1])))
+    if squarefree_by_discriminant(p, norm):
         return 4
-    cubic = [b, a, 0, 1]
-    total = 1 if v and not u2 else 0
-    for part, mult in squarefree_decomposition(p, norm):
-        if mult % 2 == 1:
-            total += len(part) - 1
-        elif mult % 4 == 2 and not v:
-            rest = pp_divmod(p, part, pp_gcd(p, part, cubic))[0]
-            total += 2 * (len(rest) - 1)
-    return total
+    odd = sum(len(part) - 1 for part, mult in squarefree_decomposition(p, norm) if mult % 2)
+    return odd + (0 if u2 else 1)
 
 
 def _count_places(curve, points, sqtable, ucoeffs, v):

@@ -246,8 +246,8 @@ def rigidity_closed_form(curve1, curve2):
     3-cycles have opposite orientations on the mu_3-labeled roots, and the
     restrictions form the coset of shifts disjoint from the equivariant maps.
     """
-    s1 = curve1.two_torsion()
-    if s1 != curve2.two_torsion():
+    s1 = curve1.two_torsion_structure()
+    if s1 != curve2.two_torsion_structure():
         return True
     if curve1.j_invariant() != curve2.j_invariant():
         return False

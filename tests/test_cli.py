@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -298,3 +300,32 @@ def test_lambda_takes_no_cache_dir(tmp_path, capsys):
 
 def test_main_module_entry():
     assert os.system("python3 -m lambda2.cli admissible --q 7 >/dev/null") == 0
+
+
+# top-level modules `import lambda2.cli` may add to a bare interpreter; the
+# import is the start-up cost of every command, so a new entry is a reviewed
+# change.  Private accelerator modules (leading underscore) follow the public
+# ones and vary between Python versions, so they are not compared.
+IMPORTED_MODULES = frozenset({
+    "__future__", "argparse", "bisect", "bz2", "collections", "copyreg", "csv",
+    "enum", "errno", "fnmatch", "functools", "genericpath", "gettext", "hashlib",
+    "itertools", "json", "keyword", "lambda2", "lzma", "math", "operator", "os",
+    "posixpath", "random", "re", "reprlib", "shutil", "stat", "tempfile", "types",
+    "warnings", "weakref", "zlib",
+})
+
+
+def test_cli_import_adds_no_new_module():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lambda2.cli\n"
+        "print(' '.join(sorted({n.split('.')[0] for n in sys.modules if n not in before})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = {name for name in done.stdout.split() if not name.startswith("_")}
+    assert "lambda2" in added
+    assert added <= IMPORTED_MODULES, sorted(added - IMPORTED_MODULES)

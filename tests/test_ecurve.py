@@ -233,3 +233,44 @@ def test_two_torsion_structure_parity_and_twist_invariance():
             if n % 4 == 2:
                 assert structure == "C2"
             assert E.quadratic_twist().two_torsion_structure() == structure
+
+
+F49 = make_field(7, 2)
+
+
+@pytest.mark.parametrize("field", [F25, F49], ids=["F25", "F49"])
+def test_one_xline_pass_per_curve(field, monkeypatch):
+    # fresh class representatives, so no count is memoized yet; the trace and
+    # the 2-torsion structure, each asked twice, cost one rhs call per x
+    classes = curve_inventory.__wrapped__(field)
+    calls = []
+    rhs = EllipticCurve.rhs
+
+    def counted(self, x):
+        calls.append(x)
+        return rhs(self, x)
+
+    monkeypatch.setattr(EllipticCurve, "rhs", counted)
+    for E in classes:
+        for _ in range(2):
+            E.trace()
+            E.point_count()
+            E.two_torsion_structure()
+    assert len(calls) == field.order * len(classes)
+
+
+def test_inventory_builds_only_class_representatives(monkeypatch):
+    # every model seen in an orbit is skipped before a curve is built: the
+    # constructor runs once per class and once per singular model outside the
+    # seen orbits (q of them in all)
+    built = []
+    init = EllipticCurve.__init__
+
+    def counted(self, field, a, b):
+        built.append((a, b))
+        init(self, field, a, b)
+
+    monkeypatch.setattr(EllipticCurve, "__init__", counted)
+    classes = curve_inventory.__wrapped__(F49)
+    assert len(classes) == 104
+    assert len(built) <= len(classes) + F49.order
