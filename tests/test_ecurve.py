@@ -17,6 +17,7 @@ F5 = make_field(5)
 F7 = make_field(7)
 F13 = make_field(13)
 F25 = make_field(5, 2)
+F49 = make_field(7, 2)
 
 # (a, b) -> (j, trace, supersingular, aut) over F_5, all independently recounted
 GOLDEN_F5 = {
@@ -233,9 +234,6 @@ def test_two_torsion_structure_parity_and_twist_invariance():
             if n % 4 == 2:
                 assert structure == "C2"
             assert E.quadratic_twist().two_torsion_structure() == structure
-
-
-F49 = make_field(7, 2)
 
 
 @pytest.mark.parametrize("field", [F25, F49], ids=["F25", "F49"])
