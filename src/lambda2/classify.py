@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ffield import InvariantViolation, field_of_order, prime_power
+from .ffield import InvariantViolation, field_of_order, is_square, prime_power
 from .ecurve import FieldTooLarge, curve_inventory
 from .galois2 import kani_admissible
 
@@ -165,14 +165,28 @@ def _classes_by_trace(field):
     return by_trace
 
 
+def _rigid(curve):
+    """Whether the base curve is j = 0 with Trivial 2-torsion, or j = 1728
+    with C2: the rigid combinations whose candidates lambda_formula flags.
+
+    Decided in O(log q), without the x-line.  For b = 0 the cubic x*(x^2 + a)
+    has two more roots exactly when -a is a square.  For a = 0 the roots of
+    x^3 = -b number one when q = 2 mod 3 (cubing is a bijection), and
+    otherwise three or none as -b is a cube or not.
+    """
+    if curve.b.is_zero():
+        return not is_square(-curve.a)
+    if curve.a.is_zero():
+        q = curve.field.order
+        return q % 3 == 1 and (-curve.b) ** ((q - 1) // 3) != curve.field.one
+    return False
+
+
 def lambda_formula(curve):
     """Closed-form candidate traces plus the subset needing exact resolution.
 
-    Candidates by 2-torsion structure of the base curve:
-    * Trivial: every odd admissible trace;
-    * C2: every even admissible trace, except +-2*sqrt(q) over square q
-      (those isogeny classes are entirely Full);
-    * Full: every admissible trace congruent to the base trace mod 4.
+    The candidates are the admissible traces t whose isogeny class holds the
+    base curve's 2-torsion structure, by two_torsion_profile_by_trace(q, t).
 
     Every candidate is flagged for exact resolution when the base curve sits
     in a rigid combination: j = 0 with Trivial structure, or j = 1728 with C2
@@ -181,21 +195,10 @@ def lambda_formula(curve):
     """
     q = curve.field.order
     structure = curve.two_torsion_structure()
-    admissible = admissible_traces(q).traces
-    if structure == "Trivial":
-        candidates = [a for a in admissible if a % 2 == 1]
-        flagged = frozenset(candidates) if curve.a.is_zero() else frozenset()
-    elif structure == "C2":
-        root = math.isqrt(q)
-        square = root * root == q
-        candidates = [
-            a for a in admissible if a % 2 == 0 and not (square and abs(a) == 2 * root)
-        ]
-        flagged = frozenset(candidates) if curve.b.is_zero() else frozenset()
-    else:
-        base = curve.trace() % 4
-        candidates = [a for a in admissible if a % 4 == base]
-        flagged = frozenset()
+    candidates = [
+        t for t in admissible_traces(q) if structure in two_torsion_profile_by_trace(q, t)
+    ]
+    flagged = frozenset(candidates) if _rigid(curve) else frozenset()
     return LambdaSet(curve, 2, candidates, "formula"), flagged
 
 
@@ -205,7 +208,14 @@ def _has_kani_partner(curve, a):
 
 
 def lambda_formula_resolved(curve):
-    """lambda_formula with every flagged candidate settled by the Kani test."""
+    """lambda_formula with every flagged candidate settled by the Kani test.
+
+    The flagged candidates of a rigid curve are settled on the curve
+    inventory, so it is built first: a field above INVENTORY_CAP is refused
+    with FieldTooLarge before the curve's O(q) x-line scan.
+    """
+    if _rigid(curve):
+        _classes_by_trace(curve.field)
     candidates, flagged = lambda_formula(curve)
     if not flagged:
         return candidates

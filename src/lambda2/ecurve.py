@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ffield import embedding, field_of_order, is_square, make_field
+from .ffield import embedding, field_of_order, make_field
 
 # full inventories are only meaningful while the x-line scan stays cheap
 INVENTORY_CAP = 343
@@ -88,11 +88,12 @@ class EllipticCurve:
     def affine_points(self):
         """All affine points, sorted by (x.index, y.index)."""
         pts = []
+        squares = self.field.squares_table()
         for x in self.field.elements():
             v = self.rhs(x)
             if v.is_zero():
                 pts.append((x, self.field.zero))
-            elif is_square(v):
+            elif squares[v.index]:
                 r = _both_roots(v)
                 pts.append((x, r[0]))
                 pts.append((x, r[1]))

@@ -2,21 +2,26 @@
 
 A field of order p**m is built as F_p[t] / (modulus) where the modulus is the
 lexicographically smallest monic irreducible of degree m, coefficients compared
-as the tuple (c_{m-1}, ..., c_0).  The same (p, m) always reconstructs the
-same field, elements, and factorizations, on any machine.
+as the tuple (c_{m-1}, ..., c_0); each candidate is tested by distinct-degree
+factorization over F_p.  The same (p, m) always reconstructs the same field,
+elements, and factorizations, on any machine.
+
+Elements are immutable little-endian residue vectors.  Int lists of residues
+are the element kernel and nothing else: products reduce modulo the modulus on
+plain ints, and inverses run the extended Euclidean algorithm on int-list
+polynomials over F_p, several times faster per inverse than a Fermat power or
+Euclid on Polynomial objects.  Polynomial, with FieldElement coefficients, is
+the only polynomial type.  Factorization is squarefree decomposition, then
+distinct-degree splitting, then equal-degree splitting driven by a fixed-seed
+pseudorandom sequence (seed 0x5EED), with the factor list sorted, so it is
+fully deterministic as well.
 
 Each field keeps one lookup table, built on first use: squares_table(), one
 byte per element index holding 1 at every square (zero included) and 0
 elsewhere.  A prime field fills it from x*x mod p on plain ints, an
-extension field from element products.  is_square reads it while the field
-has at most _SQUARE_TABLE_CAP elements and uses Euler's criterion above that
-(pow on ints for a prime field); the curve point counts and the oracle's place
-counts index it directly.
-
-Elements are immutable little-endian residue vectors.  Factorization is
-squarefree decomposition, then distinct-degree splitting, then equal-degree
-splitting driven by a fixed-seed pseudorandom sequence (seed 0x5EED), with the
-factor list sorted, so it is fully deterministic as well.
+extension field from element products.  The curve point counts and the
+oracle's place counts index it directly; is_square is Euler's criterion (pow
+on ints for a prime field), so a single test never builds the table.
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ from functools import lru_cache
 
 FIELD_SIZE_CAP = 2**63
 EDF_SEED = 0x5EED
-
-# is_square reads the square table while the field is at most this big
-_SQUARE_TABLE_CAP = 20000
 
 
 class NotASquare(ArithmeticError):
@@ -49,12 +51,9 @@ class InvariantViolation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# integer-list polynomials over the prime field F_p
+# integer-list polynomials over the prime field F_p, for _vec_inv only
 #
 # Little-endian lists of residues, no trailing zeros, zero polynomial = [].
-# This layer backs the modulus search and field inversion, and its squarefree
-# decomposition serves the oracle's per-cover branch test (fforacle), which
-# works on residues mod p instead of field objects.
 # ---------------------------------------------------------------------------
 
 
@@ -107,116 +106,6 @@ def pp_divmod(p, f, g):
             f[k + j] = (f[k + j] - c * b) % p
         pp_trim(f)
     return pp_trim(quot), f
-
-
-def pp_rem(p, f, g):
-    return pp_divmod(p, f, g)[1]
-
-
-def pp_monic(p, f):
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def pp_gcd(p, f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, pp_rem(p, f, g)
-    return pp_monic(p, f)
-
-
-def pp_pow_mod(p, f, n, mod):
-    result = [1]
-    base = pp_rem(p, f, mod)
-    while n:
-        if n & 1:
-            result = pp_rem(p, pp_mul(p, result, base), mod)
-        base = pp_rem(p, pp_mul(p, base, base), mod)
-        n >>= 1
-    return result
-
-
-def pp_derivative(p, f):
-    return pp_trim([i * c % p for i, c in enumerate(f)][1:])
-
-
-def squarefree_decomposition(p, f):
-    """Squarefree decomposition of an int-list polynomial over F_p.
-
-    Returns pairwise-coprime monic squarefree parts with multiplicities, so
-    f = leading * prod(part ** mult); constant parts are omitted.
-    Characteristic-p aware: p-th power parts are peeled off through the
-    Frobenius (coefficientwise identity on F_p), so inputs like h(t)**p work.
-    Raises ZeroPolynomial on zero input.
-    """
-    if not f:
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    out = []
-    f = pp_monic(p, f)
-    scale = 1
-    while len(f) > 1:
-        d = pp_derivative(p, f)
-        if not d:
-            # f = g(t**p); over F_p the p-th root just reindexes coefficients
-            f = [f[i] for i in range(0, len(f), p)]
-            scale *= p
-            continue
-        g = pp_gcd(p, f, d)
-        w = pp_divmod(p, f, g)[0]
-        i = 1
-        while len(w) > 1:
-            y = pp_gcd(p, w, g)
-            z = pp_divmod(p, w, y)[0]
-            if len(z) > 1:
-                out.append((z, i * scale))
-            w = y
-            g = pp_divmod(p, g, y)[0]
-            i += 1
-        if len(g) > 1:
-            f = [g[i] for i in range(0, len(g), p)]
-            scale *= p
-        else:
-            break
-    return out
-
-
-def pp_is_irreducible(p, f):
-    """Deterministic irreducibility test over F_p (Frobenius gcd criterion)."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x = [0, 1]
-    if pp_pow_mod(p, x, p**m, f) != pp_rem(p, x, f):
-        return False
-    for ell in _prime_divisors(m):
-        h = pp_sub(p, pp_pow_mod(p, x, p ** (m // ell), f), x)
-        if len(pp_gcd(p, h, f)) != 1:
-            return False
-    return True
-
-
-def _least_factor(n):
-    """Smallest divisor d >= 2 of an integer n >= 2, by trial division."""
-    d = 2
-    while n % d:
-        if d * d > n:
-            return n
-        d += 1
-    return d
-
-
-def _prime_divisors(n):
-    out = []
-    while n > 1:
-        d = _least_factor(n)
-        out.append(d)
-        while n % d == 0:
-            n //= d
-    return out
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below this bound
@@ -579,22 +468,19 @@ def _make_field(p, m):
     if p**m >= FIELD_SIZE_CAP:
         raise ValueError(f"field size {p}^{m} exceeds the cap 2^63")
     if m == 1:
-        modulus = (0, 1)
-    else:
-        modulus = None
-        for idx in range(p**m):
-            low = []
-            k = idx
-            for _ in range(m):
-                low.append(k % p)
-                k //= p
-            cand = low + [1]
-            if pp_is_irreducible(p, cand):
-                modulus = tuple(cand)
-                break
-        if modulus is None:
-            raise InvariantViolation(f"no monic irreducible of degree {m} over F_{p}")
-    return FiniteField(p, m, modulus)
+        return FiniteField(p, 1, (0, 1))
+    base = _make_field(p, 1)
+    for idx in range(p**m):
+        low = []
+        k = idx
+        for _ in range(m):
+            low.append(k % p)
+            k //= p
+        cand = Polynomial(base, low + [1])
+        # irreducible exactly when no factor of degree at most m/2 splits off
+        if _distinct_degree(cand) == [(cand, m)]:
+            return FiniteField(p, m, tuple(low + [1]))
+    raise InvariantViolation(f"no monic irreducible of degree {m} over F_{p}")
 
 
 def is_square(e):
@@ -602,8 +488,6 @@ def is_square(e):
     if e.is_zero():
         return True
     field = e.field
-    if field.order <= _SQUARE_TABLE_CAP:
-        return field.squares_table()[e.index] == 1
     if field.m == 1:
         p = field.p
         return pow(e.coeffs[0], (p - 1) // 2, p) == 1
@@ -820,28 +704,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self} over {self.field!r})"
 
-    @classmethod
-    def from_string(cls, field, text):
-        """Parse the prime-field text form produced by str(), e.g. x^3+2*x+1."""
-        if field.m != 1:
-            raise ValueError("string parsing is defined for prime fields only")
-        text = text.replace(" ", "").replace("-", "+-")
-        coeffs = {}
-        for term in text.split("+"):
-            if not term:
-                continue
-            if "x" in term:
-                head, _, tail = term.partition("x")
-                c = int(head.rstrip("*")) if head.rstrip("*") not in ("", "-") else (
-                    -1 if head.startswith("-") else 1
-                )
-                e = int(tail[1:]) if tail.startswith("^") else 1
-            else:
-                c, e = int(term), 0
-            coeffs[e] = coeffs.get(e, 0) + c
-        top = max(coeffs) if coeffs else 0
-        return cls(field, [coeffs.get(i, 0) for i in range(top + 1)])
-
 
 def factor(f):
     """Factor into irreducibles: sorted list of (monic Polynomial, multiplicity).
@@ -856,7 +718,7 @@ def factor(f):
         return []
     rng = random.Random(EDF_SEED)
     out = []
-    for part, mult in _sqf_parts(f.monic()):
+    for part, mult in squarefree_decomposition(f):
         for piece, d in _distinct_degree(part):
             for irr in _equal_degree(piece, d, rng):
                 out.append((irr, mult))
@@ -884,7 +746,16 @@ def _pth_root_poly(f):
     return Polynomial(field, coeffs)
 
 
-def _sqf_parts(f):
+def squarefree_decomposition(f):
+    """Squarefree decomposition of a nonzero Polynomial.
+
+    Returns pairwise-coprime monic squarefree parts with multiplicities, so
+    f = leading * prod(part ** mult); constant parts are omitted.
+    Characteristic-p aware: p-th power parts are peeled off through the
+    inverse Frobenius, so inputs like h(x)**p work.  Raises ZeroPolynomial on
+    zero input.
+    """
+    f = f.monic()
     out = []
     scale = 1
     while f.degree() > 0:

@@ -9,9 +9,12 @@ condition read off the norm u^2 - v^2*f without ever constructing the
 extension.  For v != 0 the norm has degree 3 or 4, and when its discriminant
 is nonzero mod p it is squarefree: every prime of it branches and the degree
 is 4, so most covers are rejected by one closed form.  For v = 0 the degree
-follows from u alone.  The other norms go through the squarefree
-decomposition, where a prime branches exactly when its multiplicity is odd
-(branch_degree gives the argument).
+follows from u and its common roots with the cubic.  The remaining norms,
+repeated cubics and quartics, are settled by their shape: a prime branches
+exactly when its multiplicity is odd, so a repeated quartic branches nowhere
+exactly when it is a constant times a square (branch_degree gives the case
+proof).  Every case is a closed form in residues; no polynomial is built per
+cover.
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -47,11 +50,9 @@ from .ffield import (
     factor,
     is_square,
     make_field,
-    pp_gcd,
-    pp_trim,
     roots,
     sqrt,
-    squarefree_decomposition,
+    squarefree_decomposition,  # unused here; perfbench/tracer.py patches this name
 )
 from .ecurve import FieldTooLarge
 from .classify import LambdaSet
@@ -403,12 +404,19 @@ def branch_degree(curve, u, v):
 
     u is a sequence of at most three residues (u0, u1, u2) and v a residue,
     as cover_representatives yields them.  The curve must live over a prime
-    field (NotPrimeField otherwise); u = v = 0 raises ZeroFunction.
+    field (NotPrimeField otherwise); u = v = 0 raises ZeroFunction.  Every
+    case below is a closed form in the residues; no polynomial is built.
 
     v = 0: g = u(x), and a prime of u of multiplicity w has valuation w at
-    each place above it, or 2w when it divides f (it ramifies in E).  With
-    deg u <= 2, u is a constant times a square (u2 != 0, u1^2 = 4*u0*u2) and
-    branches nowhere, or is squarefree: degree 2*(deg u - deg gcd(u, f)).
+    each place above it, or 2w when it divides f (it ramifies in E); the pole
+    order 2*deg u at infinity is even.  With deg u <= 2, u is a constant times
+    a square (u2 != 0, u1^2 = 4*u0*u2) and branches nowhere, or is squarefree:
+    the degree is 2*(deg u - c), c the number of roots u shares with f.  For
+    linear u, c = 1 exactly when f vanishes at the root of u.  For
+    u = u2*(x^2 + s*x + t), x^3 = (s^2 - t)*x + s*t mod x^2 + s*x + t, so
+    f = (s^2 - t + a)*x + (s*t + b) mod it: both coefficients zero gives c = 2,
+    a nonzero x coefficient gives c = 1 exactly when u vanishes at that
+    remainder's root, and otherwise c = 0.
 
     v != 0: a prime of multiplicity w in N = u^2 - v^2*f adds its degree when
     w is odd: it ramifies in E (one place of valuation w) or splits
@@ -418,10 +426,16 @@ def branch_degree(curve, u, v):
     at one place (2*v*y would, and y != 0 there), so one place takes the
     whole even w.  Infinity adds one place when u2 = 0.
 
-    Gate: for v != 0, N has degree 4 (leading u2^2) or, if u2 = 0, degree 3
-    (leading -v^2).  A squarefree N has only odd multiplicities, so the degree
-    is deg N + [u2 = 0] = 4; squarefree_by_discriminant settles that, and only
-    the remaining norms reach squarefree_decomposition.
+    So with v != 0, N has degree 4 (leading u2^2) or, if u2 = 0, degree 3
+    (leading -v^2).  A squarefree N, which squarefree_by_discriminant
+    detects, has only odd multiplicities: the degree is deg N + [u2 = 0] = 4.
+    A repeated cubic is l^2*m or l^3 with l, m linear: odd part of degree 1,
+    plus infinity, gives 2.  A repeated quartic is l^2 times a squarefree
+    quadratic coprime to l, l^3*m, l^2*m^2, Q^2 or l^4, giving 2, 2, 0, 0
+    and 0: the degree is 0 exactly when N/u2^2 = (x^2 + alpha*x + beta)^2,
+    which forces alpha = n3/2 and beta = (n2 - alpha^2)/2 from the top
+    coefficients of the monic N/u2^2 and leaves n1 = 2*alpha*beta and
+    n0 = beta^2 to check; otherwise it is 2.
     """
     field = curve.field
     if field.m != 1:
@@ -432,6 +446,25 @@ def branch_degree(curve, u, v):
         raise ValueError("u must have degree at most 2")
     v %= p
     a, b = curve.a.coeffs[0], curve.b.coeffs[0]
+    if not v:
+        if u2:
+            if (u1 * u1 - 4 * u0 * u2) % p == 0:
+                return 0
+            inv = pow(u2, p - 2, p)
+            s, t = u1 * inv % p, u0 * inv % p
+            r1, r0 = (s * s - t + a) % p, (s * t + b) % p
+            if not r1:
+                shared = 0 if r0 else 2
+            else:
+                x0 = -r0 * pow(r1, p - 2, p)
+                shared = 0 if (t + x0 * (s + x0)) % p else 1
+            return 2 * (2 - shared)
+        if u1:
+            x0 = -u0 * pow(u1, p - 2, p)
+            return 0 if (b + x0 * (a + x0 * x0)) % p == 0 else 2
+        if u0:
+            return 0
+        raise ZeroFunction("the zero function has no branch divisor")
     vv = v * v
     norm = [
         (u0 * u0 - vv * b) % p,
@@ -440,20 +473,17 @@ def branch_degree(curve, u, v):
         (2 * u1 * u2 - vv) % p,
         u2 * u2 % p,
     ]
-    while norm and not norm[-1]:
-        norm.pop()
-    if not norm:
-        # u^2 = v^2 f is impossible for nonsingular f unless u = v = 0
-        raise ZeroFunction("the zero function has no branch divisor")
-    if not v:
-        if u2 and (u1 * u1 - 4 * u0 * u2) % p == 0:
-            return 0
-        ucoeffs = pp_trim([u0, u1, u2])
-        return 2 * (len(ucoeffs) - len(pp_gcd(p, ucoeffs, [b, a, 0, 1])))
     if squarefree_by_discriminant(p, norm):
         return 4
-    odd = sum(len(part) - 1 for part, mult in squarefree_decomposition(p, norm) if mult % 2)
-    return odd + (0 if u2 else 1)
+    if not u2:
+        return 2
+    half = (p + 1) // 2
+    inv = pow(norm[4], p - 2, p)
+    n0, n1, n2, n3 = (c * inv for c in norm[:4])
+    alpha = n3 * half % p
+    beta = (n2 - alpha * alpha) * half % p
+    square = (n1 - 2 * alpha * beta) % p == 0 and (n0 - beta * beta) % p == 0
+    return 0 if square else 2
 
 
 def _count_places(curve, points, sqtable, ucoeffs, v):

@@ -26,7 +26,8 @@ from lambda2.classify import (
     two_torsion_profile_by_trace,
     weil_poly,
 )
-from lambda2.ecurve import curve_inventory, make_curve
+from lambda2.classify import _rigid
+from lambda2.ecurve import EllipticCurve, FieldTooLarge, curve_inventory, make_curve
 from lambda2.ffield import make_field
 
 # complementary traces for every isomorphism class over F_5, frozen from an
@@ -165,6 +166,44 @@ def test_lambda_formula_candidates_and_flags():
     candidates, flagged = lambda_formula(curve)
     assert candidates.traces == (-2, 2)
     assert flagged == frozenset()
+
+
+# every prime from 5 to 167, and the extension fields F_25 and F_49, whose
+# object x-line scans cost most
+RIGID_FIELDS = [
+    q for q in range(5, 170) if all(q % d for d in range(2, math.isqrt(q) + 1))
+] + [25, 49]
+
+
+@pytest.mark.parametrize("q", RIGID_FIELDS)
+def test_rigid_closed_form_matches_x_line(q):
+    # _rigid decides the 2-torsion structure at j = 0 and 1728 by a power;
+    # the x-line root count of every such model is the reference
+    field = field_of_order(q)
+    for c in field.nonzero_elements():
+        for curve in (make_curve(field, c, 0), make_curve(field, 0, c)):
+            structure = curve.two_torsion_structure()
+            rigid = (structure == "C2" and curve.b.is_zero()) or (
+                structure == "Trivial" and curve.a.is_zero()
+            )
+            assert _rigid(curve) == rigid, (q, str(curve.a), str(curve.b))
+
+
+def test_rigid_formula_query_above_cap_refused_before_scan(monkeypatch):
+    # a rigid curve settles its flagged traces on the inventory, so above
+    # INVENTORY_CAP it is refused before the O(q) x-line scan: j = 1728 with
+    # C2 (-1 is a nonsquare mod 999983) and j = 0 with Trivial (-2 is not a
+    # cube mod 1009)
+    def no_scan(self):
+        raise RuntimeError("the x-line was scanned")
+
+    monkeypatch.setattr(EllipticCurve, "_xline", no_scan)
+    for q, a, b in [(999983, 1, 0), (1009, 0, 2)]:
+        with pytest.raises(FieldTooLarge, match="inventory is capped at field size 343"):
+            lambda_formula_resolved(make_curve(q, a, b))
+    # a j = 1728 curve with Full structure is not rigid, and scans
+    with pytest.raises(RuntimeError, match="x-line"):
+        lambda_formula_resolved(make_curve(1009, 1, 0))
 
 
 def test_unflagged_candidates_always_survive():

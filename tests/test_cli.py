@@ -329,3 +329,21 @@ def test_cli_import_adds_no_new_module():
     added = {name for name in done.stdout.split() if not name.startswith("_")}
     assert "lambda2" in added
     assert added <= IMPORTED_MODULES, sorted(added - IMPORTED_MODULES)
+
+
+def test_tracer_runs_verify(tmp_path):
+    # perfbench/tracer.py wraps package functions by the names their callers
+    # import, fforacle's squarefree_decomposition among them; a name removed
+    # from the package stops the tracer before the command runs
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "trace.json"
+    env = dict(
+        os.environ, PYTHONPATH=str(root / "src"), LAMBDA2_CACHE_DIR=str(tmp_path / "cache")
+    )
+    tracer = root / "perfbench" / "tracer.py"
+    done = subprocess.run(
+        [sys.executable, str(tracer), str(out), "--", "verify", "--q", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["spans"]

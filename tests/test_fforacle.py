@@ -10,7 +10,6 @@ from lambda2.ffield import (
     factor,
     field_of_order,
     make_field,
-    pp_monic,
     squarefree_decomposition,
 )
 from lambda2.fforacle import (
@@ -73,7 +72,7 @@ def test_branch_degree_hand_checked():
 
 def test_discriminant_gate_matches_squarefree_decomposition():
     # every cubic and quartic over F_5 and F_7, then seeded random ones over
-    # F_11 to F_19, against the squarefree decomposition
+    # F_11 to F_19: N is squarefree exactly when gcd(N, N') is constant
     def cases():
         for p in (5, 7):
             for deg in (3, 4):
@@ -88,7 +87,8 @@ def test_discriminant_gate_matches_squarefree_decomposition():
 
     seen = set()
     for p, f in cases():
-        want = squarefree_decomposition(p, f) == [(pp_monic(p, f), 1)]
+        poly = Polynomial(make_field(p), f)
+        want = poly.gcd(poly.derivative()).degree() == 0
         assert squarefree_by_discriminant(p, f) == want, (p, f)
         seen.add(want)
     assert seen == {True, False}
@@ -266,28 +266,47 @@ def test_divisor_odd_part_examples():
     assert max(p.degree for p in tall.odd_places) == 3
 
 
-def _doubled_prime_cases(curve, ucoeffs, v):
-    """Which doubled-prime cases of branch_degree the input reaches, read off
-    a full factorization of the norm: a prime of multiplicity 2 mod 4 coprime
-    to the cubic, for v = 0, or as an irreducible quadratic with v != 0,
-    tagged with how the divisor route splits it."""
+def _branch_cases(curve, ucoeffs, v):
+    """Which cases of branch_degree the input reaches, read off a full
+    factorization of the norm.  The closed form it takes: for v = 0 (norm
+    u^2) a square u, or deg u and the number c of roots u shares with the
+    cubic; for v != 0 the shape of the norm.  And a doubled prime coprime to
+    the cubic: a prime of multiplicity 2 mod 4, for v = 0, or as an
+    irreducible quadratic with v != 0, tagged with how the divisor route
+    splits it."""
     cubic = Polynomial(curve.field, [curve.b, curve.a, 0, 1])
+    norm = norm_polynomial(curve, (ucoeffs, v))
+    factors = factor(norm)
     cases = set()
-    for h, mult in factor(norm_polynomial(curve, (ucoeffs, v))):
+    for h, mult in factors:
         if mult % 4 != 2 or (cubic % h).is_zero():
             continue
         if not v:
             cases.add("v = 0")
         elif h.degree() == 2:
             cases.add("quadratic " + places_above(curve, h)[0].kind)
+    mults = [mult for _, mult in factors]
+    if not v:
+        if any(mult > 2 for mult in mults):
+            cases.add("v = 0, square u")
+        else:
+            shared = sum(h.degree() for h, _ in factors if (cubic % h).is_zero())
+            cases.add(f"v = 0, deg u = {norm.degree() // 2}, c = {shared}")
+    elif all(mult == 1 for mult in mults):
+        cases.add("squarefree norm")
+    elif norm.degree() == 3:
+        cases.add("repeated cubic")
+    elif all(mult % 2 == 0 for mult in mults):
+        cases.add("square quartic")
+    else:
+        cases.add("repeated non-square quartic")
     return cases
 
 
 def test_divisor_route_agrees_with_branch_degree():
-    # the place-by-place factorization route and the squarefree shortcut
-    # must read off the same branch data for every candidate function; the
-    # curves span every 2-torsion structure (F_5: Trivial, Full; F_7: Full,
-    # C2, Trivial)
+    # the place-by-place factorization route and the closed forms must read
+    # off the same branch data for every candidate function; the curves span
+    # every 2-torsion structure (F_5: Trivial, Full; F_7: Full, C2, Trivial)
     reached = set()
     for q, a, b in [(5, 2, 1), (5, 1, 0), (7, 0, 1), (7, 1, 0), (7, 0, 2)]:
         curve = make_curve(q, a, b)
@@ -296,10 +315,75 @@ def test_divisor_route_agrees_with_branch_degree():
             assert sketch.odd_degree() == branch_degree(curve, ucoeffs, v), (
                 q, a, b, ucoeffs, v,
             )
-            reached |= _doubled_prime_cases(curve, ucoeffs, v)
-    # the v = 0 case and an irreducible quadratic prime with v != 0 both ran;
-    # with v != 0 such a prime always splits, since f = (u/v)^2 at its roots
-    assert reached == {"v = 0", "quadratic split-plus"}
+            reached |= _branch_cases(curve, ucoeffs, v)
+    # every closed form ran, the v = 0 doubled prime too, and an irreducible
+    # quadratic prime with v != 0, which always splits since f = (u/v)^2 at
+    # its roots
+    assert reached == {
+        "v = 0",
+        "quadratic split-plus",
+        "v = 0, square u",
+        "v = 0, deg u = 1, c = 0",
+        "v = 0, deg u = 1, c = 1",
+        "v = 0, deg u = 2, c = 0",
+        "v = 0, deg u = 2, c = 1",
+        "v = 0, deg u = 2, c = 2",
+        "squarefree norm",
+        "repeated cubic",
+        "square quartic",
+        "repeated non-square quartic",
+    }
+
+
+def test_branch_degree_matches_squarefree_parts():
+    # every cover of every class over F_5, F_7 and F_11, against squarefree
+    # decompositions of Polynomial objects.  v = 0: twice the degree of the
+    # odd-multiplicity part of u less the roots it shares with the cubic.
+    # v != 0: the odd-multiplicity part of the norm N, plus infinity when
+    # u2 = 0.  A norm that the discriminant gate calls squarefree is its own
+    # odd part, of degree 4 - [u2 = 0], so only the other norms are
+    # decomposed; the gate is held to gcd(N, N') in
+    # test_discriminant_gate_matches_squarefree_decomposition
+    decomposed = set()
+    for q in (5, 7, 11):
+        field = field_of_order(q)
+        covers = list(cover_representatives(field))
+        odd_parts_of_u = {}
+        for u, v in covers:
+            if not v:
+                parts = squarefree_decomposition(Polynomial(field, list(u)))
+                odd_parts_of_u[u] = [h for h, mult in parts if mult % 2]
+        for curve in curve_inventory(field):
+            a, b = curve.a.coeffs[0], curve.b.coeffs[0]
+            cubic = Polynomial(field, [b, a, 0, 1])
+            shared = {}  # deg gcd(h, cubic) for each odd part h of some u
+            for (u0, u1, u2), v in covers:
+                got = branch_degree(curve, (u0, u1, u2), v)
+                if not v:
+                    want = 0
+                    for h in odd_parts_of_u[u0, u1, u2]:
+                        if h not in shared:
+                            shared[h] = h.gcd(cubic).degree()
+                        want += 2 * (h.degree() - shared[h])
+                    assert got == want, (q, a, b, (u0, u1, u2), v)
+                    continue
+                vv = v * v
+                norm = [
+                    (u0 * u0 - vv * b) % q,
+                    (2 * u0 * u1 - vv * a) % q,
+                    (u1 * u1 + 2 * u0 * u2) % q,
+                    (2 * u1 * u2 - vv) % q,
+                    u2 * u2 % q,
+                ]
+                if squarefree_by_discriminant(q, norm):
+                    assert got == 4, (q, a, b, (u0, u1, u2), v)
+                    continue
+                parts = squarefree_decomposition(norm_polynomial(curve, ((u0, u1, u2), v)))
+                want = sum(h.degree() for h, mult in parts if mult % 2) + (0 if u2 else 1)
+                assert got == want, (q, a, b, (u0, u1, u2), v)
+                decomposed.add(want)
+    # non-squarefree norms of both outcomes were decomposed
+    assert decomposed == {0, 2}
 
 
 def test_scaling_by_square_leaves_counts_alone():
