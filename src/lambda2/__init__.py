@@ -34,12 +34,6 @@ from .ecurve import (
     enumerate_curves,
     make_curve,
 )
-from .galois2 import (
-    TwoTorsionModule,
-    kani_admissible,
-    module_isomorphisms,
-    two_torsion_module,
-)
 from .classify import (
     AdmissibleSet,
     DegreeNotCoprime,
@@ -49,6 +43,7 @@ from .classify import (
     OutOfHasseWindow,
     admissible_traces,
     hasse_window,
+    kani_admissible,
     lambda_exact,
     lambda_formula,
     lambda_formula_resolved,
@@ -57,11 +52,8 @@ from .classify import (
     weil_poly,
 )
 from .fforacle import (
-    DivisorSketch,
-    EllipticFunction,
     NotGenusTwo,
     NotPrimeField,
-    PlaceOnE,
     ZeroFunction,
     ZetaInconsistent,
     branch_degree,
@@ -69,20 +61,14 @@ from .fforacle import (
     cover_complementary_trace,
     cover_point_count,
     cover_representatives,
-    divisor_odd_part,
     lambda_oracle,
-    local_valuation,
-    norm_polynomial,
-    places_above,
 )
 
 __all__ = [
     "AdmissibleSet",
     "BadCharacteristic",
     "DegreeNotCoprime",
-    "DivisorSketch",
     "EllipticCurve",
-    "EllipticFunction",
     "FieldElement",
     "FieldTooLarge",
     "FiniteField",
@@ -94,10 +80,8 @@ __all__ = [
     "NotGenusTwo",
     "NotPrimeField",
     "OutOfHasseWindow",
-    "PlaceOnE",
     "Polynomial",
     "SingularCurve",
-    "TwoTorsionModule",
     "ZeroFunction",
     "ZeroPolynomial",
     "ZetaInconsistent",
@@ -108,7 +92,6 @@ __all__ = [
     "cover_point_count",
     "cover_representatives",
     "curve_inventory",
-    "divisor_odd_part",
     "embedding",
     "enumerate_curves",
     "factor",
@@ -121,16 +104,11 @@ __all__ = [
     "lambda_formula_resolved",
     "lambda_oracle",
     "lambda_set",
-    "local_valuation",
     "make_curve",
     "make_field",
-    "module_isomorphisms",
-    "norm_polynomial",
-    "places_above",
     "ramification_solutions",
     "roots",
     "sqrt",
-    "two_torsion_module",
     "weil_poly",
     "__version__",
 ]

@@ -106,12 +106,14 @@ def _load_or_build_entry(q, cache_dir):
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-        if entry.get("schema") == CACHE_SCHEMA and entry.get("q") == q:
-            body = {k: entry[k] for k in ("schema", "q", "curves")}
-            if entry.get("hash") == _content_hash(body):
-                return entry
     except (OSError, ValueError):
-        pass
+        entry = None
+    # valid JSON that is not an object with schema, q and curves is damage too
+    if isinstance(entry, dict) and {"schema", "q", "curves"} <= entry.keys():
+        body = {k: entry[k] for k in ("schema", "q", "curves")}
+        current = body["schema"] == CACHE_SCHEMA and body["q"] == q
+        if current and entry.get("hash") == _content_hash(body):
+            return entry
     entry = _build_entry(q)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

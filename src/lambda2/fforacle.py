@@ -34,11 +34,10 @@ work on plain ints.  Field objects appear once per point of E, to build its
 local expansions.  cover_point_count keeps the object count, which also runs
 over F_{q^2}, as the reference the tests hold the census to.
 
-A second, slower route to the same branch data is also exposed: factor the
-norm into irreducibles, realize every place above every factor with an
-explicit point over the right extension field, and read valuations off
-local expansions (divisor_odd_part).  The fast path and the divisor route
-are kept deliberately independent so each can check the other.
+A second, slower route to the same branch data, which factors the norm and
+reads valuations off local expansions place by place, is the reference in
+tests/divisor_route.py; the tests hold branch_degree to it on every cover of
+five curves over F_5 and F_7.  No production route needs it.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ from .ffield import (
     InvariantViolation,
     Polynomial,
     embedding,
-    factor,
-    is_square,
-    make_field,
-    roots,
-    sqrt,
     squarefree_decomposition,  # unused here; perfbench/tracer.py patches this name
 )
 from .ecurve import FieldTooLarge
@@ -163,225 +157,6 @@ def _local_unit(ucoeffs, v, powers):
         if not c.is_zero():
             return w, c
     raise InvariantViolation("zero of unexpected multiplicity")
-
-
-def _cubic(curve):
-    field = curve.field
-    return Polynomial(field, [curve.b, curve.a, field.zero, field.one])
-
-
-def _as_poly(field, value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (tuple, list)):
-        return Polynomial(field, list(value))
-    return Polynomial(field, [value])
-
-
-class EllipticFunction:
-    """A function u(x) + v(x)*y on the curve with poles only at infinity.
-
-    x and y have pole orders 2 and 3 there, so capping deg u at 3 and deg v
-    at 1 covers every pole order up to 6.  The cover search itself only ever
-    needs deg u <= 2 with constant v (pole order at most 4).
-    """
-
-    __slots__ = ("curve", "u", "v")
-
-    def __init__(self, curve, u, v):
-        field = curve.field
-        self.curve = curve
-        self.u = _as_poly(field, u)
-        self.v = _as_poly(field, v)
-        if self.u.is_zero() and self.v.is_zero():
-            raise ZeroFunction("the zero function has no divisor")
-        if self.u.degree() > 3 or self.v.degree() > 1:
-            raise ValueError("pole order above 6 is never needed")
-
-    def pole_order(self):
-        # the two candidate orders have opposite parity: no cancellation
-        orders = []
-        if not self.u.is_zero():
-            orders.append(2 * self.u.degree())
-        if not self.v.is_zero():
-            orders.append(2 * self.v.degree() + 3)
-        return max(orders)
-
-    def norm(self):
-        """Product with the conjugate u - v*y, as a polynomial in x."""
-        vv = self.v * self.v
-        return self.u * self.u - vv * _cubic(self.curve)
-
-    def __repr__(self):
-        return f"EllipticFunction(u={self.u!r}, v={self.v!r})"
-
-
-def _as_function(curve, g):
-    if isinstance(g, EllipticFunction):
-        return g
-    u, v = g
-    return EllipticFunction(curve, u, v)
-
-
-def norm_polynomial(curve, g):
-    """Norm of g = u + v*y down to F_q(x): u^2 - v^2*(x^3 + ax + b).
-
-    Its roots are exactly the x-coordinates of the finite zeros of g.
-    """
-    return _as_function(curve, g).norm()
-
-
-class PlaceOnE:
-    """A closed point of the curve: infinity, or a place above a monic
-    irreducible h(x) tagged by how y behaves in the residue field."""
-
-    __slots__ = ("minpoly", "kind", "degree", "point", "lift")
-
-    def __init__(self, minpoly, kind, degree, point, lift):
-        self.minpoly = minpoly
-        self.kind = kind
-        self.degree = degree
-        self.point = point
-        self.lift = lift
-
-    def __repr__(self):
-        if self.kind == "infinite":
-            return "PlaceOnE(infinite)"
-        return f"PlaceOnE({self.minpoly!r}, {self.kind}, degree={self.degree})"
-
-
-INFINITE_PLACE = PlaceOnE(None, "infinite", 1, None, None)
-
-
-def places_above(curve, h):
-    """The places of the curve over a monic irreducible h(x).
-
-    Two split places, one ramified place (h divides the curve cubic), or one
-    inert place of doubled residue degree; each comes with a realized point
-    over the matching extension field and the lift map from the base field.
-    """
-    field = curve.field
-    d = h.degree()
-    if d < 1 or h.leading() != field.one:
-        raise ValueError(f"{h!r} is not a monic polynomial of positive degree")
-    if d == 1:
-        lift = _identity
-        x0 = -h.coeffs[0]
-    else:
-        ext = make_field(field.p, field.m * d)
-        lift = embedding(field, ext)
-        x0 = roots(Polynomial(ext, [lift(c) for c in h.coeffs]))[0]
-    fval = lift(curve.b) + x0 * (lift(curve.a) + x0 * x0)
-    if fval.is_zero():
-        return [PlaceOnE(h, "ramified-2-torsion", d, (x0, fval), lift)]
-    if is_square(fval):
-        y0 = sqrt(fval)
-        return [
-            PlaceOnE(h, "split-plus", d, (x0, y0), lift),
-            PlaceOnE(h, "split-minus", d, (x0, -y0), lift),
-        ]
-    big = make_field(field.p, field.m * d * 2)
-    up = embedding(x0.field, big)
-    return [PlaceOnE(h, "inert", 2 * d, (up(x0), sqrt(up(fval))), _Compose(up, lift))]
-
-
-def _identity(c):
-    return c
-
-
-class _Compose:
-    __slots__ = ("outer", "inner")
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, c):
-        return self.outer(self.inner(c))
-
-
-def _poly_series(poly, powers, lift, zero, n):
-    out = [zero] * n
-    for i, c in enumerate(poly.coeffs):
-        if c.is_zero():
-            continue
-        c = lift(c)
-        if i == 0:
-            out[0] = out[0] + c
-        else:
-            pw = powers[i]
-            for j in range(n):
-                out[j] = out[j] + c * pw[j]
-    return out
-
-
-def _function_series(func, place, n):
-    """Expansion of u(x) + v(x)*y in the local parameter at a finite place."""
-    curve = func.curve
-    lift = place.lift
-    x0, y0 = place.point
-    zero = x0.field.zero
-    xs, ys = _point_series(lift(curve.a), lift(curve.b), x0, y0, n)
-    x2 = _series_mul(xs, xs, zero)
-    powers = (None, xs, x2, _series_mul(x2, xs, zero))
-    us = _poly_series(func.u, powers, lift, zero, n)
-    vy = _series_mul(_poly_series(func.v, powers, lift, zero, n), ys, zero)
-    return [us[i] + vy[i] for i in range(n)]
-
-
-def local_valuation(curve, g, place):
-    """Valuation of g at the place.
-
-    Minus the pole order at infinity; elsewhere the order of vanishing of
-    the local expansion at the realized point, to precision deg(norm) + 3
-    (always enough: the valuation is bounded by the norm degree).
-    """
-    func = _as_function(curve, g)
-    if place.kind == "infinite":
-        return -func.pole_order()
-    precision = func.norm().degree() + 3
-    for w, c in enumerate(_function_series(func, place, precision)):
-        if not c.is_zero():
-            return w
-    raise InvariantViolation("local expansion vanished to its full precision")
-
-
-class DivisorSketch:
-    """Divisor of a nonzero function as (place, valuation) pairs.
-
-    Zero valuations are dropped; the total degree must come out 0 and the
-    odd part must have even degree, both checked at construction.
-    """
-
-    __slots__ = ("entries", "odd_places")
-
-    def __init__(self, entries):
-        self.entries = tuple((p, w) for p, w in entries if w != 0)
-        if sum(p.degree * w for p, w in self.entries) != 0:
-            raise InvariantViolation("a principal divisor must have degree 0")
-        self.odd_places = tuple(p for p, w in self.entries if w % 2 != 0)
-        if self.odd_degree() % 2 != 0:
-            raise InvariantViolation("the odd part of a divisor must have even degree")
-
-    def odd_degree(self):
-        return sum(p.degree for p in self.odd_places)
-
-
-def divisor_odd_part(curve, g):
-    """Divisor of g computed place by place, with its odd part.
-
-    A deliberately independent second route to the branch data: the norm is
-    factored into irreducibles, every place above every factor is expanded
-    locally, and the odd part collects the places of odd valuation; these
-    are exactly the branch places of w^2 = g, infinity included, so the
-    odd-part degree must agree with branch_degree.
-    """
-    func = _as_function(curve, g)
-    entries = [(INFINITE_PLACE, -func.pole_order())]
-    for h, _ in factor(func.norm()):
-        for place in places_above(curve, h):
-            entries.append((place, local_valuation(curve, func, place)))
-    return DivisorSketch(entries)
 
 
 def squarefree_by_discriminant(p, f):

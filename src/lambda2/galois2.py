@@ -1,55 +1,14 @@
-"""Two-torsion of an elliptic curve as a Galois module, and gluing tests.
+"""Reference for the Kani rule: 2-torsion as a Galois module, root by root.
 
 The nonzero 2-torsion points of y^2 = x^3 + a*x + b sit over the roots of the
-cubic x^3 + a*x + b, so the Galois action is the q-power Frobenius permuting
-those roots inside their splitting field.  Two curves glue along their
-2-torsion into a genus-2 double cover of each (Kani's criterion) exactly
-when some Frobenius-equivariant isomorphism of the 2-torsion modules is NOT
-the restriction of a geometric isomorphism; gluing along a restriction
-degenerates instead of producing a smooth genus-2 curve.
-
-kani_admissible decides this by a closed form, rigidity_closed_form, read
-off the 2-torsion structure and j alone.  The proof is a count:
-
-* different structures: no equivariant isomorphism exists, so no gluing;
-* same structure, different j: no geometric isomorphism exists, so every
-  equivariant isomorphism (and one exists) glues;
-* same j: a geometric isomorphism acts on x by a scaling u^2, and distinct
-  scalings induce distinct root bijections, so there are at most 1, 2 or 3
-  restrictions (generic j, j = 1728, j = 0), against 6, 2 or 3 equivariant
-  isomorphisms for Full, C2 or Trivial structure (the cosets of the
-  centralizer of the Frobenius in S_3).  Whenever the isomorphisms outnumber
-  the scalings one of them is not a restriction, and the pair glues.
-
-That leaves the twist pairs at j = 1728 with C2 structure and at j = 0 with
-C2 or Trivial structure:
-
-* j = 1728, C2: the roots are 0 and +-sqrt(-a) with -a a non-square, so
-  a'/a is a square, both scalings +-sqrt(a'/a) are rational, and they induce
-  the two equivariant isomorphisms.  Rigid: no gluing.
-* j = 0, C2 (only for q = 2 mod 3, where cubing is a bijection): of the
-  three cube roots of b'/b exactly one is rational; it induces one of the
-  two equivariant isomorphisms, and the other two scalings send the rational
-  root to an irrational one, so they are not equivariant.  The pair glues.
-* j = 0, Trivial (only for q = 1 mod 3): the roots of x^3 + b are labelled
-  by mu_3, and the three scalings act as shifts.  When b'/b is a cube the two
-  Frobenius 3-cycles have the same orientation and the shifts are the three
-  equivariant isomorphisms (rigid); otherwise the orientations are opposite,
-  the shifts form the coset disjoint from the equivariant maps, and the pair
-  glues.
-
-The root-level test stays here as the reference the tests hold the closed
-form to: two_torsion_module factors the 2-division cubic and finds its roots
-and Frobenius over the splitting field, module_isomorphisms lists the
-equivariant root bijections, scaling_set / geometric_restrictions the
-bijections induced by geometric isomorphisms inside a compositum field, and
-all_isos_are_restrictions compares the two.  No production route calls them.
-The rule reads the structure from the curve's x-line scan, so the factor
-route here (TwoTorsionModule.structure) stays an independent check of it.
-
-Kani's gluing runs along an anti-isometry E[2] -> E'[2] for the Weil pairing,
-but on 2-torsion that pairing is -1 on every pair of distinct nonzero points,
-so every group isomorphism qualifies and the pairing never has to be computed.
+cubic, so the Galois action is the q-power Frobenius permuting those roots
+inside their splitting field.  two_torsion_module finds the roots and the
+Frobenius by factoring, module_isomorphisms lists the equivariant root
+bijections, geometric_restrictions those induced by geometric isomorphisms,
+and all_isos_are_restrictions compares the two.  The tests and the CI sweep
+tests/kani_reference_sweep.py hold the rule in classify to it.  No
+production route imports this module; rigidity_closed_form is re-exported
+so the rule and its reference import together.
 
 Permutations are tuples t of length 3 with t[i] = j meaning "root i of the
 first curve maps to root j of the second", with roots in canonical order.
@@ -69,8 +28,7 @@ from .ffield import (
     make_field,
     roots,
 )
-
-STRUCTURES = ("Full", "C2", "Trivial")
+from .classify import rigidity_closed_form
 
 _STRUCTURE_BY_DEGREES = {(1, 1, 1): "Full", (1, 2): "C2", (3,): "Trivial"}
 
@@ -205,18 +163,6 @@ def geometric_restrictions(curve1, curve2):
     return tuple(sorted(perms))
 
 
-def kani_admissible(curve1, curve2):
-    """Whether the curves glue along 2-torsion into a genus-2 double cover.
-
-    True when some equivariant module isomorphism is not the restriction of a
-    geometric isomorphism, which is exactly when the pair is not rigid in the
-    sense of rigidity_closed_form (the module docstring proves the rule).
-    Reads only the 2-torsion structures, j and, for j = 0 Trivial pairs, the
-    cube class of b'/b: no root, module or extension field is built.
-    """
-    return not rigidity_closed_form(curve1, curve2)
-
-
 def all_isos_are_restrictions(curve1, curve2):
     """Whether every equivariant module isomorphism comes from geometry.
 
@@ -230,28 +176,3 @@ def all_isos_are_restrictions(curve1, curve2):
     restricted = set(geometric_restrictions(curve1, curve2))
     return all(tau in restricted for tau in module_isomorphisms(curve1, curve2))
 
-
-def rigidity_closed_form(curve1, curve2):
-    """Closed-form prediction for all_isos_are_restrictions.
-
-    Vacuously true when the 2-torsion structures differ (no equivariant
-    isomorphism exists); false when they agree but the j-invariants differ
-    (no isomorphism is a restriction).  For pairs sharing both, true iff
-    j = 0 with Trivial structure and b'/b a cube, or j = 1728 with C2
-    structure.
-
-    j = 0 Trivial curves exist only for q = 1 mod 3 (otherwise cubing is a
-    bijection and x^3 + b has a rational root), so b'/b is a cube exactly
-    when (b'/b)^((q-1)/3) = 1.  With a non-cube ratio the two Frobenius
-    3-cycles have opposite orientations on the mu_3-labeled roots, and the
-    restrictions form the coset of shifts disjoint from the equivariant maps.
-    """
-    s1 = curve1.two_torsion_structure()
-    if s1 != curve2.two_torsion_structure():
-        return True
-    if curve1.j_invariant() != curve2.j_invariant():
-        return False
-    if curve1.a.is_zero() and s1 == "Trivial":
-        ratio = curve2.b / curve1.b
-        return ratio ** ((curve1.field.order - 1) // 3) == curve1.field.one
-    return curve1.b.is_zero() and s1 == "C2"

@@ -1,10 +1,11 @@
 """Sweep the closed-form Kani rule against the root-level module test.
 
 For every field F_q with q <= INVENTORY_CAP and characteristic > 3, compare
-galois2.kani_admissible with the reference (some Frobenius-equivariant
-isomorphism of the 2-torsion modules is not a restriction of a geometric
-isomorphism) on every ordered pair of classes sharing j = 0 or j = 1728,
-the only pairs where the rule is not settled by counting alone.  Prints one
+classify.kani_admissible with the reference in galois2 (some
+Frobenius-equivariant isomorphism of the 2-torsion modules is not a
+restriction of a geometric isomorphism) on every ordered pair of classes
+sharing j = 0 or j = 1728, the only pairs where the rule is not settled by
+counting alone.  Prints one
 line of counts per field and exits 1 on any mismatch.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
@@ -15,11 +16,11 @@ Not collected by pytest (the file name has no test_ prefix); run it as
 import itertools
 import sys
 
+from lambda2.classify import kani_admissible
 from lambda2.ecurve import INVENTORY_CAP, curve_inventory
 from lambda2.ffield import make_field, prime_power
 from lambda2.galois2 import (
     geometric_restrictions,
-    kani_admissible,
     module_isomorphisms,
     two_torsion_module,
 )

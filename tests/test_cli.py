@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lambda2 import cli, galois2
+from lambda2 import classify, cli, galois2
 from lambda2.classify import ADMISSIBLE_MAX_Q, admissible_traces, lambda_exact
 from lambda2.ecurve import INVENTORY_CAP, XLINE_MAX_Q, FieldTooLarge, curve_inventory
 from lambda2.ffield import field_of_order
@@ -229,21 +229,59 @@ def test_frozen_answers_replay(pool, tmp_path, capsys, monkeypatch):
         assert _replay(capsys, cmd) == (want["rc"], want["sha256"]), cmd
 
 
-def test_kani_answers_build_no_module(tmp_path, capsys, monkeypatch):
-    # the closed form decides every Kani pair: the root-level reference
-    # (modules, restrictions, factoring over extension fields) never runs
-    def refuse(*args):
-        raise AssertionError("a production route reached the root-level reference")
+# commands run in one interpreter after `import lambda2.cli`, each with the
+# frozen pool that holds its digest, if any; the formula query is a rigid
+# curve (j = 0, Trivial), whose flagged traces go through the Kani rule
+BOUNDARY_COMMANDS = {
+    "table --q 49": "cold49",
+    "verify --q 7": "verify7",
+    "verify --q 25": None,
+    "lambda --q 25 --a 0 --b 1,1 --mode formula": None,
+    "lambda --q 25 --a 0,1 --b 2,2 --mode kani": "kani25",
+    "lambda --q 11 --a 0 --b 1 --mode oracle": "oracle11",
+    "admissible --q 25": "selfcheck",
+}
+BOUNDARY_PROBE = """
+import contextlib, hashlib, io, json, sys
+import lambda2.cli
+def loaded():
+    return sorted(n for n in sys.modules if n.startswith("lambda2"))
+at_import, runs = loaded(), {}
+for cmd in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = lambda2.cli.main(cmd.split())
+    runs[cmd] = [rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps({"import": at_import, "commands": loaded(), "runs": runs}))
+"""
 
-    for name in ("two_torsion_module", "geometric_restrictions", "factor"):
-        monkeypatch.setattr(galois2, name, refuse)
-    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(tmp_path))
-    for pool, cmd in (
-        ("cold49", "table --q 49"),
-        ("kani49", "lambda --q 49 --a 0,0 --b 3,0 --mode kani"),
-    ):
-        want = _frozen(pool)[cmd]
-        assert _replay(capsys, cmd) == (want["rc"], want["sha256"]), cmd
+
+def test_cli_loads_only_production_modules(tmp_path):
+    # a route can only borrow what it imports: reference code (galois2's
+    # module test; the divisor route lives in tests/) stays off the CLI's
+    # import graph, at import and after every command
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        LAMBDA2_CACHE_DIR=str(tmp_path),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_PROBE, *BOUNDARY_COMMANDS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    production = ["lambda2"] + [
+        f"lambda2.{name}" for name in ("classify", "cli", "ecurve", "ffield", "fforacle")
+    ]
+    assert got["import"] == got["commands"] == production
+    for cmd, pool in BOUNDARY_COMMANDS.items():
+        rc, digest = got["runs"][cmd]
+        want = _frozen(pool)[cmd] if pool else {"rc": 0, "sha256": digest}
+        assert (rc, digest) == (want["rc"], want["sha256"]), cmd
+    # the Kani rule has one home, which the reference re-exports
+    assert galois2.rigidity_closed_form is classify.rigidity_closed_form
+    assert not hasattr(galois2, "kani_admissible")
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
@@ -270,6 +308,21 @@ def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
     cache_file.write_text("not json at all")
     _, healed, _ = run(capsys, *args)
     assert healed == first
+
+
+@pytest.mark.parametrize(
+    "payload", ["[]", '"x"', '{"schema": 1, "q": 5}'], ids=["list", "string", "no-curves"]
+)
+def test_cache_entry_of_wrong_shape_is_rebuilt(payload, tmp_path, capsys):
+    # valid JSON that is not a cache entry is damage like any other: table
+    # and verify rebuild it silently and print what a fresh build prints
+    damaged = tmp_path / "damaged"
+    damaged.mkdir()
+    for command in ("table", "verify"):
+        fresh = run(capsys, command, "--q", "5", "--cache-dir", str(tmp_path / command))
+        assert fresh[0] == 0
+        (damaged / "q5.v1.json").write_text(payload)
+        assert run(capsys, command, "--q", "5", "--cache-dir", str(damaged)) == fresh
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -346,4 +399,9 @@ def test_tracer_runs_verify(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(out.read_text())["spans"]
+    trace = json.loads(out.read_text())
+    assert trace["spans"]
+    # the wrapped names are still the ones the routes call: a Kani rule or a
+    # branch test the tracer no longer reaches would read 0 here
+    assert trace["counts"].get("galois2.kani_checks", 0) > 0
+    assert trace["counts"].get("fforacle.covers", 0) > 0

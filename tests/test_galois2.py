@@ -2,13 +2,12 @@ import itertools
 
 import pytest
 
+from lambda2.classify import kani_admissible, rigidity_closed_form
 from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order, make_field
 from lambda2.galois2 import (
-    rigidity_closed_form,
     all_isos_are_restrictions,
     geometric_restrictions,
-    kani_admissible,
     module_isomorphisms,
     scaling_set,
     two_torsion_module,
