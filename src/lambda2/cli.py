@@ -18,7 +18,7 @@ verify always recomputes it.
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.  A q above
 a command's cap is invalid input, refused before any factoring of q:
 INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
-ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle serves prime q up to
+ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle (d = 2) serves prime q up to
 ORACLE_MAX_Q = 19 only; verify skips the oracle beyond it.
 """
 
@@ -38,7 +38,6 @@ from .classify import (
     lambda_exact,
     lambda_formula_resolved,
     lambda_set,
-    weil_poly,
 )
 from .ecurve import (
     INVENTORY_CAP,
@@ -57,6 +56,18 @@ _MODE_FUNCTIONS = {
     "kani": lambda_exact,
     "oracle": lambda_oracle,
 }
+
+# table's columns, in order: cache row keys, and the row's Kani set last
+_TABLE_COLUMNS = (
+    "a",
+    "b",
+    "j",
+    "a_q",
+    "two_torsion",
+    "supersingular",
+    "aut_count",
+    "lambda_traces",
+)
 
 
 def _dumps(payload):
@@ -139,51 +150,28 @@ def _parse_coefficient(field, text):
     return field.element([int(part) for part in parts])
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(str(t) for t in value)
+    return value
+
+
 def cmd_table(args):
     entry = _load_or_build_entry(args.q, _cache_dir(args))
-    rows = [
-        {
-            "a": row["a"],
-            "b": row["b"],
-            "j": row["j"],
-            "a_q": row["a_q"],
-            "two_torsion": row["two_torsion"],
-            "supersingular": row["supersingular"],
-            "aut_count": row["aut_count"],
-            "lambda_traces": row["lambda"]["kani"],
-        }
-        for row in entry["curves"]
-    ]
+    rows = []
+    for row in entry["curves"]:
+        row = dict(row, lambda_traces=row["lambda"]["kani"])
+        rows.append({col: row[col] for col in _TABLE_COLUMNS})
     if args.format == "json":
         print(_dumps(rows))
         return 0
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "a",
-            "b",
-            "j",
-            "a_q",
-            "two_torsion",
-            "supersingular",
-            "aut_count",
-            "lambda_traces",
-        ]
-    )
+    writer.writerow(_TABLE_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row["a"],
-                row["b"],
-                row["j"],
-                row["a_q"],
-                row["two_torsion"],
-                "true" if row["supersingular"] else "false",
-                row["aut_count"],
-                ";".join(str(t) for t in row["lambda_traces"]),
-            ]
-        )
+        writer.writerow([_csv_cell(row[col]) for col in _TABLE_COLUMNS])
     sys.stdout.write(out.getvalue())
     return 0
 
@@ -197,11 +185,12 @@ def cmd_lambda(args):
     curve = make_curve(
         field, _parse_coefficient(field, args.a), _parse_coefficient(field, args.b)
     )
-    if args.mode == "oracle" and not oracle_serves(field):
-        raise ValueError(f"oracle mode supports prime q up to {ORACLE_MAX_Q} only")
     if args.d == 2:
+        if args.mode == "oracle" and not oracle_serves(field):
+            raise ValueError(f"oracle mode supports prime q up to {ORACLE_MAX_Q} only")
         lam = _MODE_FUNCTIONS[args.mode](curve)
     else:
+        # no cover of degree d > 2 has genus 2, whichever route is asked
         lam = lambda_set(curve, args.d)
     payload = {
         "q": args.q,
@@ -210,9 +199,9 @@ def cmd_lambda(args):
         "j": str(curve.j_invariant()),
         "two_torsion": curve.two_torsion_structure(),
         "d": args.d,
-        "mode": args.mode,
+        "mode": lam.mode,
         "traces": list(lam.traces),
-        "polynomials": [list(weil_poly(args.q, t)) for t in lam.traces],
+        "polynomials": [list(poly) for poly in lam.polynomials()],
     }
     print(_dumps(payload))
     return 0
@@ -223,16 +212,20 @@ def cmd_verify(args):
     entry = _load_or_build_entry(q, _cache_dir(args))
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
-    # only the oracle needs curve objects; the other routes read the cache
-    inventory = curve_inventory(field) if use_oracle else ()
     failures = 0
-    for i, row in enumerate(entry["curves"]):
+    for row in entry["curves"]:
         sets = {
             "formula": tuple(row["lambda"]["formula"]),
             "kani": tuple(row["lambda"]["kani"]),
         }
         if use_oracle:
-            sets["oracle"] = lambda_oracle(inventory[i]).traces
+            # only the oracle needs a curve object: the row's own (a, b)
+            curve = make_curve(
+                field,
+                _parse_coefficient(field, row["a"]),
+                _parse_coefficient(field, row["b"]),
+            )
+            sets["oracle"] = lambda_oracle(curve).traces
         agreed = len(set(sets.values())) == 1
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         if agreed:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .ffield import embedding, field_of_order, make_field
+from .ffield import embedding, field_of_order, make_field, sqrt
 
 # full inventories are only meaningful while the x-line scan stays cheap
 INVENTORY_CAP = 343
@@ -225,10 +225,9 @@ class EllipticCurve:
 
 
 def _both_roots(v):
-    from .ffield import sqrt
-
+    # sqrt returns the root of smaller index
     r = sqrt(v)
-    return (r, -r) if r.index <= (-r).index else (-r, r)
+    return r, -r
 
 
 def make_curve(field, a, b):

@@ -6,22 +6,22 @@ as the tuple (c_{m-1}, ..., c_0); each candidate is tested by distinct-degree
 factorization over F_p.  The same (p, m) always reconstructs the same field,
 elements, and factorizations, on any machine.
 
-Elements are immutable little-endian residue vectors.  Int lists of residues
-are the element kernel and nothing else: products reduce modulo the modulus on
-plain ints, and inverses run the extended Euclidean algorithm on int-list
-polynomials over F_p, several times faster per inverse than a Fermat power or
-Euclid on Polynomial objects.  Polynomial, with FieldElement coefficients, is
-the only polynomial type.  Factorization is squarefree decomposition, then
-distinct-degree splitting, then equal-degree splitting driven by a fixed-seed
-pseudorandom sequence (seed 0x5EED), with the factor list sorted, so it is
-fully deterministic as well.
+Elements are immutable little-endian residue vectors; products reduce modulo
+the modulus on plain ints, and every power of a prime-field element is the
+builtin pow(c, n, p).  The inverse is the Fermat power x**(q-2), so inverse,
+is_square (Euler's criterion) and sqrt (Tonelli-Shanks) each have one code
+path.  Polynomial, with FieldElement coefficients, is the only polynomial
+type.  Factorization is squarefree decomposition, then distinct-degree
+splitting, then equal-degree splitting driven by a fixed-seed pseudorandom
+sequence (seed 0x5EED), with the factor list sorted, so it is fully
+deterministic as well.
 
 Each field keeps one lookup table, built on first use: squares_table(), one
 byte per element index holding 1 at every square (zero included) and 0
 elsewhere.  A prime field fills it from x*x mod p on plain ints, an
 extension field from element products.  The curve point counts and the
-oracle's place counts index it directly; is_square is Euler's criterion (pow
-on ints for a prime field), so a single test never builds the table.
+oracle's place counts index it directly; is_square is a power, so a single
+test never builds the table.
 """
 
 from __future__ import annotations
@@ -48,64 +48,6 @@ class IncompatibleFields(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A standing invariant failed; a bug, never bad input."""
-
-
-# ---------------------------------------------------------------------------
-# integer-list polynomials over the prime field F_p, for _vec_inv only
-#
-# Little-endian lists of residues, no trailing zeros, zero polynomial = [].
-# ---------------------------------------------------------------------------
-
-
-def pp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def pp_sub(p, f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return pp_trim(out)
-
-
-def pp_mul(p, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return pp_trim([c % p for c in out])
-
-
-def pp_scale(p, f, c):
-    c %= p
-    if c == 0:
-        return []
-    return [a * c % p for a in f]
-
-
-def pp_divmod(p, f, g):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    quot = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        k = len(f) - 1 - dg
-        c = f[-1] * inv_lead % p
-        quot[k] = c
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % p
-        pp_trim(f)
-    return pp_trim(quot), f
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below this bound
@@ -308,20 +250,6 @@ def _vec_mul(p, m, modfull, a, b):
     return tuple(c % p for c in full[:m])
 
 
-def _vec_inv(p, modfull, a):
-    """Inverse modulo the field modulus via the extended Euclidean algorithm."""
-    r0, r1 = list(modfull), pp_trim(list(a))
-    if not r1:
-        raise ZeroDivisionError("inverse of zero field element")
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        q, r = pp_divmod(p, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, pp_sub(p, s0, pp_mul(p, q, s1))
-    c = pow(r1[0], p - 2, p)
-    return pp_scale(p, s1, c)
-
-
 class FieldElement:
     """Immutable element of a FiniteField; supports +, -, *, /, ** and hashing."""
 
@@ -400,14 +328,17 @@ class FieldElement:
         return FieldElement(self.field, tuple((-x) % p for x in self.coeffs))
 
     def inverse(self):
-        f = self.field
-        inv = _vec_inv(f.p, f._modfull, self.coeffs)
-        return FieldElement(f, tuple(inv) + (0,) * (f.m - len(inv)))
+        # 0 ** (q - 2) is 0, so zero must be refused before the power
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero field element")
+        return self ** (self.field.order - 2)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
         f = self.field
+        if f.m == 1:
+            return FieldElement(f, (pow(self.coeffs[0], n, f.p),))
         result = f.one
         base = self
         while n:
@@ -485,38 +416,21 @@ def _make_field(p, m):
 
 def is_square(e):
     """Whether e is a square in its field (zero counts as a square)."""
-    if e.is_zero():
-        return True
-    field = e.field
-    if field.m == 1:
-        p = field.p
-        return pow(e.coeffs[0], (p - 1) // 2, p) == 1
-    return e ** ((field.order - 1) // 2) == field.one
+    return e.is_zero() or e ** ((e.field.order - 1) // 2) == e.field.one
 
 
 def sqrt(e):
-    """Canonical square root: the one whose coefficient vector sorts first.
+    """Canonical square root: the one whose index is smaller.
 
-    Raises NotASquare on non-residues.  Uses e**((q+1)/4) when q = 3 mod 4 and
-    Tonelli-Shanks otherwise.
+    Raises NotASquare on non-residues.  Tonelli-Shanks; when q = 3 mod 4 the
+    2-part of q - 1 is 2, so the loop never runs and the root is e**((q+1)/4).
     """
     if e.is_zero():
         return e
     if not is_square(e):
         raise NotASquare(f"{e} is not a square in {e.field!r}")
-    q = e.field.order
-    if q % 4 == 3:
-        r = e ** ((q + 1) // 4)
-    else:
-        r = _tonelli_shanks(e)
-    rn = -r
-    return r if r.index <= rn.index else rn
-
-
-def _tonelli_shanks(e):
     field = e.field
-    q = field.order
-    s, t = 0, q - 1
+    s, t = 0, field.order - 1
     while t % 2 == 0:
         s += 1
         t //= 2
@@ -536,7 +450,8 @@ def _tonelli_shanks(e):
         w = w * z
         r = r * b
         s = k
-    return r
+    rn = -r
+    return r if r.index <= rn.index else rn
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +495,11 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        inv = self.leading().inverse()
+        lead = self.leading()
+        # gcds and factors are mostly monic already, and an inverse is a power
+        if lead == self.field.one:
+            return self
+        inv = lead.inverse()
         return Polynomial(self.field, [c * inv for c in self.coeffs])
 
     def evaluate(self, x):
@@ -630,7 +549,9 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dg = other.degree()
-        inv_lead = other.leading().inverse()
+        lead = other.leading()
+        # most divisors are monic, and 1 is its own inverse
+        inv_lead = lead if lead == self.field.one else lead.inverse()
         z = self.field.zero
         quot = [z] * max(len(rem) - dg, 0)
         while len(rem) - 1 >= dg and rem:

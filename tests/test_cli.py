@@ -118,6 +118,49 @@ def test_verify_two_way_skips_oracle(tmp_path, capsys):
     )
 
 
+def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
+    # rows swapped in a self-consistent entry: the oracle must run on each
+    # row's own (a, b), not on the inventory class at the same position
+    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[0] == 0
+    cache_file = tmp_path / "q7.v1.json"
+    entry = json.loads(cache_file.read_text())
+    curves = entry["curves"]
+    i = 0
+    j = next(k for k, row in enumerate(curves) if row["lambda"] != curves[i]["lambda"])
+    curves[i], curves[j] = curves[j], curves[i]
+    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
+    cache_file.write_text(json.dumps(entry))
+    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0, out
+    lines = out.splitlines()
+    assert lines[-1] == "18 classes, 3 modes, all agree"
+    for row, line in zip(curves, lines):
+        traces = ";".join(str(t) for t in row["lambda"]["kani"])
+        assert line == f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}: ok  [{traces}]"
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (("--q", "5", "--a", "1", "--b", "1", "--mode", "formula"), "formula"),
+        (("--q", "5", "--a", "1", "--b", "1", "--mode", "oracle"), "oracle"),
+        (("--q", "5", "--a", "1", "--b", "1", "--d", "4", "--mode", "oracle"), "kani"),
+        (("--q", "49", "--a", "1", "--b", "1", "--d", "3", "--mode", "oracle"), "kani"),
+        (("--q", "49", "--a", "1", "--b", "1", "--d", "3", "--mode", "formula"), "kani"),
+    ],
+    ids=["formula", "oracle", "d4-oracle", "d3-oracle-q49", "d3-formula-q49"],
+)
+def test_lambda_payload_names_the_route_that_answered(argv, mode, capsys):
+    # no cover of degree d > 2 has genus 2, so lambda_set answers whatever
+    # route was asked, and the oracle's domain does not apply
+    code, out, err = run(capsys, "lambda", *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["mode"] == mode
+    if payload["d"] > 2:
+        assert payload["traces"] == [] and payload["polynomials"] == []
+
+
 def test_verify_rejects_bad_field(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--q", "9", "--cache-dir", str(tmp_path))
     assert code == 2

@@ -135,6 +135,30 @@ def test_int_coercion_in_arithmetic():
     assert a**2 == 2
 
 
+@pytest.mark.parametrize("p,m", [(7, 1), (5, 2)])
+def test_zero_has_no_inverse(p, m):
+    # the inverse is the power x**(q-2), which would map zero to zero
+    F = make_field(p, m)
+    x = F.from_index(3)
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        x / F.zero
+    with pytest.raises(ZeroDivisionError):
+        F.zero ** -1
+
+
+@pytest.mark.parametrize("p,m", [(5, 4), (7, 3)])
+def test_inverse_and_negative_powers_on_a_sample(p, m):
+    F = make_field(p, m)
+    rng = random.Random(14)
+    for _ in range(40):
+        a = F.from_index(rng.randrange(1, F.order))
+        assert a * a.inverse() == F.one
+        k = rng.randrange(1, 3 * F.order)
+        assert a**k * a**-k == F.one
+
+
 def test_mixed_field_arithmetic_rejected():
     a = make_field(5).element(2)
     b = make_field(7).element(2)
@@ -153,8 +177,9 @@ def test_frobenius_fixed_points():
         assert e.frobenius(2) == e
 
 
-# is_square is Euler's criterion and the table is filled from squarings, so
-# each field checks both against the set of squares
+# is_square is Euler's criterion, one power on every field (the builtin pow
+# on a prime field), and the table is filled from squarings, so each field
+# checks both against the set of squares
 @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(20011, 1)])
 def test_is_square_matches_squaring_table(p, m):
     F = make_field(p, m)
@@ -184,7 +209,7 @@ def test_sqrt_exhaustive(p, m):
 def test_sqrt_frozen_values():
     F7 = make_field(7)
     assert sqrt(F7.element(2)) == F7.element(3)  # 3^2 = 9 = 2, and 3 < 4
-    F13 = make_field(13)  # 13 = 1 mod 4 exercises Tonelli-Shanks
+    F13 = make_field(13)  # 13 = 1 mod 4 runs the Tonelli-Shanks loop
     assert sqrt(F13.element(4)) == F13.element(2)
     assert sqrt(F13.element(10)) == F13.element(6)  # 6^2 = 36 = 10 mod 13
 
