@@ -197,10 +197,12 @@ class LambdaSet:
 
 @lru_cache(maxsize=None)
 def _classes_by_trace(field):
-    by_trace = {}
+    """Inventory classes bucketed by (trace, 2-torsion structure)."""
+    buckets = {}
     for curve in curve_inventory(field):
-        by_trace.setdefault(curve.trace(), []).append(curve)
-    return by_trace
+        key = (curve.trace(), curve.two_torsion_structure())
+        buckets.setdefault(key, []).append(curve)
+    return buckets
 
 
 def _rigid(curve):
@@ -266,9 +268,11 @@ def lambda_formula(curve):
 
 
 def _has_kani_partner(curve, a):
+    # different structures never glue, so only the base's own bucket is read;
     # kani_admissible is looked up as a module global on purpose:
     # perfbench/tracer.py wraps it under this name to count Kani checks
-    partners = _classes_by_trace(curve.field).get(a, ())
+    key = (a, curve.two_torsion_structure())
+    partners = _classes_by_trace(curve.field).get(key, ())
     return any(kani_admissible(curve, other) for other in partners)
 
 
@@ -338,10 +342,7 @@ def isogeny_class_two_torsion_profile(q, a):
     if a not in admissible_traces(q):
         raise NotAdmissible(f"trace {a} is not admissible for q={q}")
     field = field_of_order(q)
-    found = {
-        curve.two_torsion_structure()
-        for curve in _classes_by_trace(field).get(a, ())
-    }
+    found = {structure for t, structure in _classes_by_trace(field) if t == a}
     if not found:
         raise InvariantViolation(f"admissible trace {a} has no curve over F_{q}")
     return frozenset(found)

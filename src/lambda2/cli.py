@@ -11,11 +11,13 @@ table and verify cache inventories together with their formula- and
 enumeration-derived trace sets on disk as cache/q{q}.v1.json (override with
 --cache-dir or the LAMBDA2_CACHE_DIR environment variable); lambda computes
 afresh and takes no --cache-dir.  Cache files embed a schema version
-and a content hash; anything stale or damaged is silently recomputed.  The
-exhaustive cover oracle is never cached: it is the independent witness, so
-verify always recomputes it.
+and a content hash; anything stale or damaged is silently recomputed.
+verify recomputes every route on each row's own curve and holds the cached
+sets to them as two more comparands, labelled cache; the exhaustive cover
+oracle, the independent witness, is never cached.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.  A q above
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
+unusable cache directory included.  A q above
 a command's cap is invalid input, refused before any factoring of q:
 INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
 ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle (d = 2) serves prime q up to
@@ -126,17 +128,21 @@ def _load_or_build_entry(q, cache_dir):
         if current and entry.get("hash") == _content_hash(body):
             return entry
     entry = _build_entry(q)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    # an unusable cache directory is bad input, not a verify mismatch
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(entry))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(entry))
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write the cache in {cache_dir}: {exc}") from None
     return entry
 
 
@@ -214,17 +220,20 @@ def cmd_verify(args):
     use_oracle = oracle_serves(field)
     failures = 0
     for row in entry["curves"]:
+        # every route runs afresh on the row's own (a, b); the cached sets
+        # are two more comparands
+        curve = make_curve(
+            field,
+            _parse_coefficient(field, row["a"]),
+            _parse_coefficient(field, row["b"]),
+        )
         sets = {
-            "formula": tuple(row["lambda"]["formula"]),
-            "kani": tuple(row["lambda"]["kani"]),
+            "formula": lambda_formula_resolved(curve).traces,
+            "kani": lambda_exact(curve).traces,
+            "cache formula": tuple(row["lambda"]["formula"]),
+            "cache kani": tuple(row["lambda"]["kani"]),
         }
         if use_oracle:
-            # only the oracle needs a curve object: the row's own (a, b)
-            curve = make_curve(
-                field,
-                _parse_coefficient(field, row["a"]),
-                _parse_coefficient(field, row["b"]),
-            )
             sets["oracle"] = lambda_oracle(curve).traces
         agreed = len(set(sets.values())) == 1
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
@@ -235,7 +244,7 @@ def cmd_verify(args):
             failures += 1
             print(f"{label}: MISMATCH")
             for mode in sorted(sets):
-                print(f"  {mode:8s} {list(sets[mode])}")
+                print(f"  {mode:13s} {list(sets[mode])}")
     n = len(entry["curves"])
     if failures:
         print(f"{n} classes, {failures} mismatches")

@@ -7,16 +7,17 @@ point at infinity.
 
 Each curve makes one memoized x-line pass (_xline): it takes the index of
 v = x^3 + a*x + b for every x (plain residues ((x*x + a)*x + b) % p over a
-prime field, rhs(x).index over an extension field), counts the roots of the
-cubic and looks every nonzero v up in the field's square table, so
-#E(F_q) = 1 + #roots + 2*#{x : v a nonzero square}.  point_count() and
-two_torsion_structure() read that pass; traces over F_{q^k} follow by the
-Frobenius recursion.  affine_points stays on field elements; the tests hold
-the counts to it.
+prime field, sums on the field's log/Zech tables over an extension field),
+counts the roots of the cubic and looks every nonzero v up in the field's
+square table, so #E(F_q) = 1 + #roots + 2*#{x : v a nonzero square}.
+point_count() and two_torsion_structure() read that pass; traces over
+F_{q^k} follow by the Frobenius recursion.  affine_points stays on field
+elements; the tests hold the counts to it.
 
 The isomorphism-class inventory is deterministic: models are walked in the
-canonical element order of (a, b), and each class is represented by its
-lexicographically smallest member.
+canonical element order of (a, b), each class is represented by its
+lexicographically smallest member, and its orbit {(u^4 a, u^6 b)} is marked
+seen as index pairs read off the log tables.
 """
 
 from __future__ import annotations
@@ -94,14 +95,9 @@ class EllipticCurve:
             if v.is_zero():
                 pts.append((x, self.field.zero))
             elif squares[v.index]:
-                r = _both_roots(v)
-                pts.append((x, r[0]))
-                pts.append((x, r[1]))
+                r = sqrt(v)  # the root of smaller index
+                pts += [(x, r), (x, -r)]
         return pts
-
-    def points(self):
-        """Every rational point, infinity (None) first."""
-        return [None] + self.affine_points()
 
     def _xline(self):
         """(#E(F_q), number of rational roots of the cubic), from one pass."""
@@ -111,7 +107,7 @@ class EllipticCurve:
                 p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
                 values = (((x * x + a) * x + b) % p for x in range(p))
             else:
-                values = (self.rhs(x).index for x in field.elements())
+                values = _rhs_indices(field, self.a.index, self.b.index)
             squares = field.squares_table()
             roots = hits = 0
             for v in values:
@@ -178,29 +174,6 @@ class EllipticCurve:
             return math.gcd(4, n)
         return 2
 
-    def isomorphism_orbit(self):
-        """All (a, b) pairs isomorphic to this model, as a set; tests check
-        automorphism_count and curve_inventory's orbit walk against it."""
-        orbit = set()
-        for u in self.field.nonzero_elements():
-            u2 = u * u
-            u4 = u2 * u2
-            orbit.add((u4 * self.a, u2 * u4 * self.b))
-        return orbit
-
-    def class_representative(self):
-        """Lex-smallest (a, b) in the isomorphism orbit; tests check the
-        first-seen representatives of curve_inventory against it."""
-        a, b = min(self.isomorphism_orbit(), key=lambda t: (t[0].index, t[1].index))
-        return EllipticCurve(self.field, a, b)
-
-    def is_isomorphic(self, other):
-        """Orbit membership; tests check with it that quadratic_twist leaves
-        the class whenever the trace is nonzero."""
-        if self.field != other.field:
-            return False
-        return (other.a, other.b) in self.isomorphism_orbit()
-
     def base_change(self, k):
         """The same equation over the degree-k extension field."""
         if k == 1:
@@ -224,10 +197,29 @@ class EllipticCurve:
         return f"EllipticCurve(y^2 = x^3 + ({self.a})*x + ({self.b}) over {self.field!r})"
 
 
-def _both_roots(v):
-    # sqrt returns the root of smaller index
-    r = sqrt(v)
-    return r, -r
+def _rhs_indices(field, ai, bi):
+    """Index of x^3 + a*x + b for every x of the field, x = 0 first, from
+    the indices of a and b: x^3 + a*x = x^3 * (1 + a/x^2), then + b, each
+    sum one Zech lookup."""
+    exp, log, zech = field.log_tables()
+    n = field.order - 1
+    la, lb = log[ai], log[bi]
+    yield bi
+    for lx in range(n):
+        lv = 3 * lx % n
+        if ai:
+            z = zech[(la - 2 * lx) % n]
+            if z < 0:  # x^2 = -a
+                yield bi
+                continue
+            lv += z
+        if bi:
+            z = zech[(lb - lv) % n]
+            if z < 0:  # x^3 + a*x = -b
+                yield 0
+                continue
+            lv += z
+        yield exp[lv % n]
 
 
 def make_curve(field, a, b):
@@ -265,9 +257,16 @@ def curve_inventory(field):
     """
     if field.order > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
+    exp, log, _ = field.log_tables()
+    n = field.order - 1
+    # u = g**k and -u = g**(k + n/2) give the same (u^4 a, u^6 b)
+    half = range(n // 2)
+
+    def orbit(i, step):
+        # indices of u**step * e over u = g**k, for e of index i
+        return [exp[(log[i] + step * k) % n] if i else 0 for k in half]
+
     elems = list(field.elements())
-    u4s = [u * u * u * u for u in elems[1:]]
-    u6s = [u4 * u * u for u4, u in zip(u4s, elems[1:])]
     seen = set()
     reps = []
     for ai, a in enumerate(elems):
@@ -279,5 +278,5 @@ def curve_inventory(field):
             except SingularCurve:
                 continue
             reps.append(curve)
-            seen.update(((u4 * a).index, (u6 * b).index) for u4, u6 in zip(u4s, u6s))
+            seen.update(zip(orbit(ai, 4), orbit(bi, 6)))
     return tuple(reps)

@@ -16,18 +16,22 @@ splitting, then equal-degree splitting driven by a fixed-seed pseudorandom
 sequence (seed 0x5EED), with the factor list sorted, so it is fully
 deterministic as well.
 
-Each field keeps one lookup table, built on first use: squares_table(), one
-byte per element index holding 1 at every square (zero included) and 0
-elsewhere.  A prime field fills it from x*x mod p on plain ints, an
-extension field from element products.  The curve point counts and the
-oracle's place counts index it directly; is_square is a power, so a single
-test never builds the table.
+Each field builds its lookup tables on first use, all indexed by element
+index.  log_tables() holds int arrays exp, log and Zech log(1 + g**k) for
+the smallest primitive element g, so sums and products of nonzero elements
+are index arithmetic: the extension-field x-line and the inventory's orbit
+walk run on them.  squares_table() is one byte per element holding 1 at
+every square (zero included) and 0 elsewhere: a prime field fills it from
+x*x mod p on plain ints, an extension field from the even powers in exp.
+The curve point counts and the oracle's place counts index it directly;
+is_square is a power, so a single test never builds a table.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from functools import lru_cache
 
 FIELD_SIZE_CAP = 2**63
@@ -131,6 +135,7 @@ class FiniteField:
         "_gen",
         "_squares",
         "_nonsquare",
+        "_logs",
     )
 
     def __init__(self, p, m, modulus_coeffs):
@@ -148,6 +153,7 @@ class FiniteField:
             self._gen = self._one
         self._squares = None
         self._nonsquare = None
+        self._logs = None
 
     @property
     def zero(self):
@@ -204,10 +210,41 @@ class FiniteField:
                 for x in range((p + 1) // 2):
                     table[x * x % p] = 1
             else:
-                for e in self.elements():
-                    table[(e * e).index] = 1
+                table[0] = 1
+                for i in self.log_tables()[0][::2]:
+                    table[i] = 1
             self._squares = bytes(table)
         return self._squares
+
+    def log_tables(self):
+        """(exp, log, zech): int arrays on element indices, built once.
+
+        For the primitive element g of smallest index and n = q - 1, exp[k]
+        is the index of g**k (0 <= k < n), log inverts exp with log[0] = -1,
+        and zech[k] is log(1 + g**k), so g**i + g**j = g**(i + zech[j - i])
+        with exponents mod n, and -1 marks a zero sum.
+        """
+        if self._logs is None:
+            n = self.order - 1
+            primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+            # g generates F_q* exactly when no g**(n/r) is 1, r prime
+            g = next(
+                e
+                for e in self.nonzero_elements()
+                if all(e ** (n // r) != self._one for r in primes)
+            )
+            exp, e = array("i", [0]) * n, self._one
+            for k in range(n):
+                exp[k] = e.index
+                e = g * e
+            log = array("i", [-1]) * (n + 1)
+            for k, i in enumerate(exp):
+                log[i] = k
+            # 1 + g**k adds 1 to the constant digit of the index of g**k
+            p = self.p
+            zech = array("i", (log[i - i % p + (i + 1) % p] for i in exp))
+            self._logs = (exp, log, zech)
+        return self._logs
 
     def nonsquare(self):
         """Canonically smallest non-residue, used for twists and square roots."""

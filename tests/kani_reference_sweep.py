@@ -1,12 +1,18 @@
-"""Sweep the closed-form Kani rule against the root-level module test.
+"""Sweep the class inventory and the closed-form Kani rule on every field.
 
-For every field F_q with q <= INVENTORY_CAP and characteristic > 3, compare
-classify.kani_admissible with the reference in galois2 (some
-Frobenius-equivariant isomorphism of the 2-torsion modules is not a
-restriction of a geometric isomorphism) on every ordered pair of classes
-sharing j = 0 or j = 1728, the only pairs where the rule is not settled by
-counting alone.  Prints one
-line of counts per field and exits 1 on any mismatch.
+For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
+
+* check curve_inventory by the mass count: the orbits of its classes,
+  (q - 1) / automorphism_count models each, must cover the q^2 - q
+  nonsingular models exactly;
+* compare classify.kani_admissible with the reference in galois2 (some
+  Frobenius-equivariant isomorphism of the 2-torsion modules is not a
+  restriction of a geometric isomorphism) on every ordered pair of classes
+  sharing j = 0 or j = 1728, the only pairs where the rule is not settled
+  by counting alone.
+
+Prints one line of counts per field and exits 1 on any mismatch or failed
+mass count.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -36,6 +42,13 @@ def sweep_fields(cap):
             yield p, m
 
 
+def mass(p, m):
+    """(models covered by the inventory's orbits, nonsingular models)."""
+    q = p**m
+    covered = sum((q - 1) // E.automorphism_count() for E in curve_inventory(make_field(p, m)))
+    return covered, q * q - q
+
+
 def sweep(p, m):
     """(same-j pairs, pairs that glue, mismatching pairs) over F_{p^m}."""
     special = [
@@ -57,11 +70,13 @@ def sweep(p, m):
 
 
 def main():
-    fields = total = bad = 0
+    fields = total = bad = bad_mass = 0
     for p, m in sweep_fields(INVENTORY_CAP):
+        covered, models = mass(p, m)
         pairs, glue, mismatches = sweep(p, m)
         print(
-            f"q = {p ** m}: {pairs} same-j pairs at j = 0 or 1728,"
+            f"q = {p ** m}: orbits cover {covered} of {models} models;"
+            f" {pairs} same-j pairs at j = 0 or 1728,"
             f" {glue} glue, {pairs - glue} do not, {len(mismatches)} mismatches",
             flush=True,
         )
@@ -70,12 +85,14 @@ def main():
         fields += 1
         total += pairs
         bad += len(mismatches)
+        bad_mass += covered != models
         # each field's inventory and modules are needed only once
         curve_inventory.cache_clear()
         two_torsion_module.cache_clear()
         geometric_restrictions.cache_clear()
     print(f"{fields} fields, {total} pairs, {bad} mismatches")
-    return 1 if bad else 0
+    print(f"{fields} fields, {bad_mass} failed mass counts")
+    return 1 if bad or bad_mass else 0
 
 
 if __name__ == "__main__":

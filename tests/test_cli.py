@@ -139,6 +139,67 @@ def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
         assert line == f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}: ok  [{traces}]"
 
 
+def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
+    # a planted entry that is wrong but self-consistent: the hash matches, so
+    # only routes computed afresh can see that +-2 went missing from a row
+    assert run(capsys, "table", "--q", "25", "--cache-dir", str(tmp_path))[0] == 0
+    cache_file = tmp_path / "q25.v1.json"
+    entry = json.loads(cache_file.read_text())
+    row = next(r for r in entry["curves"] if (r["a"], r["b"]) == ("0,0", "1,0"))
+    for mode in ("formula", "kani"):
+        assert 2 in row["lambda"][mode]
+        row["lambda"][mode] = [t for t in row["lambda"][mode] if abs(t) != 2]
+    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
+    cache_file.write_text(json.dumps(entry))
+    code, out, _ = run(capsys, "verify", "--q", "25", "--cache-dir", str(tmp_path))
+    assert code == 1, out
+    lines = out.splitlines()
+    assert lines[-1] == "56 classes, 1 mismatches"
+    flagged = [line for line in lines if line.endswith("MISMATCH")]
+    assert flagged == [f"a=0,0 b=1,0 a_q={row['a_q']:+d}: MISMATCH"]
+    at = lines.index(flagged[0])
+    assert [line.split()[0] for line in lines[at + 1:at + 5]] == [
+        "cache", "cache", "formula", "kani"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--q", "5", "--cache-dir", "{file}"),
+        ("verify", "--q", "5", "--cache-dir", "/dev/null/x"),
+    ],
+    ids=["table-file", "verify-dev-null"],
+)
+def test_unusable_cache_dir_is_invalid_input(argv, tmp_path, capsys):
+    # exit 1 means a verify mismatch; a cache that cannot be written is bad
+    # input, reported on one line
+    plain = tmp_path / "plain-file"
+    plain.write_text("")
+    argv = [arg.format(file=plain) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# sha256 of `table --q N --format json`, taken before the inventory and the
+# extension-field x-line moved to the log tables
+LARGE_TABLE_DIGESTS = {
+    121: "86895d10508594d82b39d1df433b84d5d3ee58413a9482f3e259e5f91b4f6c2c",
+    125: "a3f119508f8639a84ec19f6fc7f8a8d916ac78a86c48030838d4df0265a21b8d",
+    169: "3281ae77b3b29f83cba6be905d033ea4341d6313c258e9dc9fa3a702aaa68615",
+    343: "1eaf37280b6ed87b55911cd546937cb347107b888c7ab3142d2d6cad78541cf2",
+}
+
+
+@pytest.mark.parametrize("q", sorted(LARGE_TABLE_DIGESTS))
+def test_large_field_tables_keep_their_digests(q, tmp_path, capsys):
+    code, out, _ = run(capsys, "table", "--q", str(q), "--format", "json",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[q]
+
+
 @pytest.mark.parametrize(
     "argv, mode",
     [
@@ -403,7 +464,7 @@ def test_main_module_entry():
 # change.  Private accelerator modules (leading underscore) follow the public
 # ones and vary between Python versions, so they are not compared.
 IMPORTED_MODULES = frozenset({
-    "__future__", "argparse", "bisect", "bz2", "collections", "copyreg", "csv",
+    "__future__", "argparse", "array", "bisect", "bz2", "collections", "copyreg", "csv",
     "enum", "errno", "fnmatch", "functools", "genericpath", "gettext", "hashlib",
     "itertools", "json", "keyword", "lambda2", "lzma", "math", "operator", "os",
     "posixpath", "random", "re", "reprlib", "shutil", "stat", "tempfile", "types",

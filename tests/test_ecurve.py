@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from lambda2 import ecurve
 from lambda2.ecurve import (
     FieldTooLarge,
     BadCharacteristic,
@@ -11,7 +13,7 @@ from lambda2.ecurve import (
     enumerate_curves,
     make_curve,
 )
-from lambda2.ffield import embedding, make_field
+from lambda2.ffield import embedding, make_field, prime_power
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -34,6 +36,41 @@ GOLDEN_F5 = {
     (4, 1): (1, -2, False, 2),
     (4, 2): (2, 3, False, 2),
 }
+
+
+# the orbit reference, on field elements: curve_inventory walks the same
+# orbits on the log tables, and the tests hold it to these
+
+
+def isomorphism_orbit(E):
+    """All (a, b) models isomorphic to E: {(u^4 a, u^6 b) : u != 0}."""
+    orbit = set()
+    for u in E.field.nonzero_elements():
+        u2 = u * u
+        u4 = u2 * u2
+        orbit.add((u4 * E.a, u2 * u4 * E.b))
+    return orbit
+
+
+def class_representative(E):
+    """The lex-smallest (a, b) of E's orbit, by element index."""
+    return min(isomorphism_orbit(E), key=lambda t: (t[0].index, t[1].index))
+
+
+def is_isomorphic(E1, E2):
+    return E1.field == E2.field and (E2.a, E2.b) in isomorphism_orbit(E1)
+
+
+def reference_inventory(field):
+    """Lex-minimal representatives, by the object orbit walk over all models."""
+    seen = set()
+    reps = []
+    for E in enumerate_curves(field):
+        if (E.a, E.b) not in seen:
+            orbit = isomorphism_orbit(E)
+            seen |= orbit
+            reps.append((E, orbit))
+    return reps
 
 
 def test_constructor_validation():
@@ -126,7 +163,7 @@ def test_twist_preserves_j_and_is_nontrivial_generically():
         Et = E.quadratic_twist()
         assert Et.j_invariant() == E.j_invariant()
         if E.trace() != 0:
-            assert not E.is_isomorphic(Et)
+            assert not is_isomorphic(E, Et)
 
 
 def test_automorphism_count_matches_orbit_stabilizer():
@@ -139,7 +176,7 @@ def test_automorphism_count_matches_orbit_stabilizer():
                 if u**4 * E.a == E.a and u**6 * E.b == E.b
             )
             assert E.automorphism_count() == stab
-            assert stab * len(E.isomorphism_orbit()) == n
+            assert stab * len(isomorphism_orbit(E)) == n
 
 
 def test_inventory_class_counts():
@@ -165,7 +202,7 @@ def test_inventory_mass_formula():
         orbit_sum = 0
         mass = 0.0
         for E in curve_inventory(field):
-            orbit_sum += len(E.isomorphism_orbit())
+            orbit_sum += len(isomorphism_orbit(E))
             mass += 1.0 / E.automorphism_count()
         assert orbit_sum == total
         assert abs(mass - field.order) < 1e-9
@@ -178,8 +215,25 @@ def test_inventory_reps_are_lex_minimal_and_sorted():
     ] == sorted((E.a.index, E.b.index) for E in inv)
     assert set(GOLDEN_F5) == {(E.a.index, E.b.index) for E in inv}
     for E in inv:
-        rep = E.class_representative()
-        assert (rep.a, rep.b) == (E.a, E.b)
+        assert class_representative(E) == (E.a, E.b)
+
+
+# every q <= 49 of characteristic at least 5
+SMALL_Q = [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49]
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_inventory_matches_the_object_orbit_walk(q):
+    # every class is one object orbit, in the reference's order, and its
+    # representative is the orbit's lex-min
+    field = make_field(*prime_power(q))
+    inv = curve_inventory(field)
+    ref = reference_inventory(field)
+    assert [(E.a, E.b) for E in inv] == [(E.a, E.b) for E, _ in ref]
+    for E, (_, orbit) in zip(inv, ref):
+        assert isomorphism_orbit(E) == orbit
+        assert class_representative(E) == (E.a, E.b)
+        assert len(orbit) * E.automorphism_count() == q - 1
 
 
 def test_every_j_value_is_realized():
@@ -239,22 +293,37 @@ def test_two_torsion_structure_parity_and_twist_invariance():
 @pytest.mark.parametrize("field", [F25, F49], ids=["F25", "F49"])
 def test_one_xline_pass_per_curve(field, monkeypatch):
     # fresh class representatives, so no count is memoized yet; the trace and
-    # the 2-torsion structure, each asked twice, cost one rhs call per x
+    # the 2-torsion structure, each asked twice, cost one index pass of q
+    # values per curve
     classes = curve_inventory.__wrapped__(field)
-    calls = []
-    rhs = EllipticCurve.rhs
+    passes = []
+    index_pass = ecurve._rhs_indices
 
-    def counted(self, x):
-        calls.append(x)
-        return rhs(self, x)
+    def counted(field, ai, bi):
+        values = list(index_pass(field, ai, bi))
+        passes.append((ai, bi, len(values)))
+        return iter(values)
 
-    monkeypatch.setattr(EllipticCurve, "rhs", counted)
+    monkeypatch.setattr(ecurve, "_rhs_indices", counted)
     for E in classes:
         for _ in range(2):
             E.trace()
             E.point_count()
             E.two_torsion_structure()
-    assert len(calls) == field.order * len(classes)
+    assert passes == [(E.a.index, E.b.index, field.order) for E in classes]
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (7, 2), (5, 3), (7, 3)])
+def test_index_pass_equals_the_object_rhs(p, m):
+    # the log/Zech x-line takes every value of x^3 + a*x + b, with
+    # multiplicity; F_125 and F_343 on a seeded sample of classes
+    field = make_field(p, m)
+    classes = curve_inventory(field)
+    if len(classes) > 120:
+        classes = random.Random(343).sample(classes, 40)
+    for E in classes:
+        want = sorted(E.rhs(x).index for x in field.elements())
+        assert sorted(ecurve._rhs_indices(field, E.a.index, E.b.index)) == want, E
 
 
 def test_inventory_builds_only_class_representatives(monkeypatch):

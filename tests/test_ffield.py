@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -178,8 +179,9 @@ def test_frobenius_fixed_points():
 
 
 # is_square is Euler's criterion, one power on every field (the builtin pow
-# on a prime field), and the table is filled from squarings, so each field
-# checks both against the set of squares
+# on a prime field), and the table is filled from squarings on a prime field
+# and from the even powers of a primitive element on an extension field, so
+# each field checks both against the set of squares
 @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(20011, 1)])
 def test_is_square_matches_squaring_table(p, m):
     F = make_field(p, m)
@@ -224,6 +226,64 @@ def test_nonsquare_is_canonical():
         if e.index >= ns.index:
             break
         assert is_square(e)
+
+
+LOG_FIELDS = [(5, 2), (7, 2), (5, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("p,m", LOG_FIELDS)
+def test_log_tables_are_inverse_bijections_on_the_units(p, m):
+    F = make_field(p, m)
+    n = F.order - 1
+    exp, log, zech = F.log_tables()
+    assert F.log_tables() is F.log_tables()
+    assert len(exp) == n and len(zech) == n and len(log) == F.order
+    assert len(set(exp)) == n and 0 not in exp and log[0] == -1
+    assert exp[0] == F.one.index
+    assert all(log[exp[k]] == k for k in range(n))
+    assert all(exp[log[i]] == i for i in range(1, F.order))
+    # exp really lists the powers of g, and g is the primitive element of
+    # smallest index: an element is primitive exactly when its log is prime
+    # to n
+    g = F.from_index(exp[1])
+    assert all(exp[(k + 1) % n] == (g * F.from_index(exp[k])).index for k in range(n))
+    primitive = [i for i in range(1, F.order) if math.gcd(log[i], n) == 1]
+    assert primitive[0] == exp[1]
+    # Zech: 1 + g**k, with -1 only where it vanishes
+    for k in range(n):
+        total = F.one + F.from_index(exp[k])
+        assert zech[k] == (log[total.index] if total else -1)
+    assert list(zech).count(-1) == 1
+
+
+def _zech_sum(F, i, j):
+    # index of from_index(i) + from_index(j), on the tables alone
+    exp, log, zech = F.log_tables()
+    n = F.order - 1
+    if not i or not j:
+        return i or j
+    li, lj = log[i], log[j]
+    z = zech[(lj - li) % n]
+    return 0 if z < 0 else exp[(li + z) % n]
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (7, 2)])
+def test_zech_addition_on_every_pair(p, m):
+    F = make_field(p, m)
+    elems = list(F.elements())
+    for x in elems:
+        for y in elems:
+            assert _zech_sum(F, x.index, y.index) == (x + y).index, (x, y)
+
+
+@pytest.mark.parametrize("p,m", [(5, 3), (7, 3)])
+def test_zech_addition_on_a_sample(p, m):
+    F = make_field(p, m)
+    rng = random.Random(20150)
+    for _ in range(3000):
+        x = F.from_index(rng.randrange(F.order))
+        y = F.from_index(rng.randrange(F.order))
+        assert _zech_sum(F, x.index, y.index) == (x + y).index, (x, y)
 
 
 def test_polynomial_string_round_trip():
