@@ -17,8 +17,8 @@ sets to them as two more comparands, labelled cache; the exhaustive cover
 oracle, the independent witness, is never cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
-unusable cache directory included.  A q above
-a command's cap is invalid input, refused before any factoring of q:
+unusable cache directory included.  A q above a command's cap is invalid
+input, refused before any factoring of q:
 INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
 ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle (d = 2) serves prime q up to
 ORACLE_MAX_Q = 19 only; verify skips the oracle beyond it.
