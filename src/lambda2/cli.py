@@ -13,8 +13,10 @@ enumeration-derived trace sets on disk as cache/q{q}.v1.json (override with
 afresh and takes no --cache-dir.  Cache files embed a schema version
 and a content hash; anything stale or damaged is silently recomputed.
 verify recomputes every route on each row's own curve and holds the cached
-sets to them as two more comparands, labelled cache; the exhaustive cover
-oracle, the independent witness, is never cached.
+sets to them as two more comparands, labelled cache; it also holds each
+row's other columns to its curve, and the rows to the inventory's classes,
+each once.  The exhaustive cover oracle, the independent witness, is never
+cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
 unusable cache directory included.  A q above a command's cap is invalid
@@ -82,30 +84,33 @@ def _content_hash(payload):
 
 
 def _cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("LAMBDA2_CACHE_DIR", "cache")
+    # an empty --cache-dir or LAMBDA2_CACHE_DIR counts as unset
+    return args.cache_dir or os.environ.get("LAMBDA2_CACHE_DIR") or "cache"
+
+
+def _curve_columns(curve):
+    """Every cached column of the curve's row but its trace sets."""
+    return {
+        "a": str(curve.a),
+        "b": str(curve.b),
+        "j": str(curve.j_invariant()),
+        "a_q": curve.trace(),
+        "two_torsion": curve.two_torsion_structure(),
+        "supersingular": curve.is_supersingular(),
+        "aut_count": curve.automorphism_count(),
+    }
 
 
 def _build_entry(q):
     field = field_of_order(q)
     curves = []
     for curve in curve_inventory(field):
-        curves.append(
-            {
-                "a": str(curve.a),
-                "b": str(curve.b),
-                "j": str(curve.j_invariant()),
-                "a_q": curve.trace(),
-                "two_torsion": curve.two_torsion_structure(),
-                "supersingular": curve.is_supersingular(),
-                "aut_count": curve.automorphism_count(),
-                "lambda": {
-                    "formula": list(lambda_formula_resolved(curve).traces),
-                    "kani": list(lambda_exact(curve).traces),
-                },
-            }
-        )
+        row = _curve_columns(curve)
+        row["lambda"] = {
+            "formula": list(lambda_formula_resolved(curve).traces),
+            "kani": list(lambda_exact(curve).traces),
+        }
+        curves.append(row)
     entry = {"schema": CACHE_SCHEMA, "q": q, "curves": curves}
     entry["hash"] = _content_hash({"schema": CACHE_SCHEMA, "q": q, "curves": curves})
     return entry
@@ -218,10 +223,12 @@ def cmd_verify(args):
     entry = _load_or_build_entry(q, _cache_dir(args))
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
+    # the cached (a, b) must be the inventory's classes, each once
+    unlisted = dict.fromkeys((str(E.a), str(E.b)) for E in curve_inventory(field))
     failures = 0
     for row in entry["curves"]:
         # every route runs afresh on the row's own (a, b); the cached sets
-        # are two more comparands
+        # are two more comparands and the cached columns are held to it
         curve = make_curve(
             field,
             _parse_coefficient(field, row["a"]),
@@ -235,9 +242,19 @@ def cmd_verify(args):
         }
         if use_oracle:
             sets["oracle"] = lambda_oracle(curve).traces
-        agreed = len(set(sets.values())) == 1
+        # repr, so that a cached 1 for true or 2.0 for 2 is a fault too
+        faults = [
+            f"  cache {col}: {row.get(col)!r}, the curve has {value!r}"
+            for col, value in _curve_columns(curve).items()
+            if repr(row.get(col)) != repr(value)
+        ]
+        key = (row["a"], row["b"])
+        if key in unlisted:
+            del unlisted[key]
+        else:
+            faults.append("  not a class of the inventory, or listed twice")
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
-        if agreed:
+        if len(set(sets.values())) == 1 and not faults:
             traces = ";".join(str(t) for t in sets["kani"])
             print(f"{label}: ok  [{traces}]")
         else:
@@ -245,6 +262,11 @@ def cmd_verify(args):
             print(f"{label}: MISMATCH")
             for mode in sorted(sets):
                 print(f"  {mode:13s} {list(sets[mode])}")
+            for fault in faults:
+                print(fault)
+    for a, b in unlisted:
+        failures += 1
+        print(f"a={a} b={b}: MISSING from the cache")
     n = len(entry["curves"])
     if failures:
         print(f"{n} classes, {failures} mismatches")

@@ -14,10 +14,10 @@ point_count() and two_torsion_structure() read that pass; traces over
 F_{q^k} follow by the Frobenius recursion.  affine_points stays on field
 elements; the tests hold the counts to it.
 
-The isomorphism-class inventory is deterministic: models are walked in the
-canonical element order of (a, b), each class is represented by its
-lexicographically smallest member, and its orbit {(u^4 a, u^6 b)} is marked
-seen as index pairs read off the log tables.
+The isomorphism-class inventory is deterministic and walks no orbit: each
+class is represented by its lexicographically smallest model by (a.index,
+b.index), read in closed form off the cosets of (F*)^4 and (F*)^6 in the
+field's log tables, O(q) work per field.
 """
 
 from __future__ import annotations
@@ -250,33 +250,30 @@ def enumerate_curves(field):
 def curve_inventory(field):
     """One representative per isomorphism class, lex-ordered by (a, b).
 
-    Models are walked by (a.index, b.index) and a model already seen in an
-    orbit is skipped before any curve is built, so each curve built is the
-    lex-smallest member of its orbit, or a singular model the constructor
-    rejects.
+    The class of (a, b) is the orbit (u^4 a, u^6 b).  Its lex-min model is
+    (0, b) with b the smallest index of its coset of (F*)^6, or has a the
+    smallest index of its coset of (F*)^4; then u^4 = 1, so u^6 b = +-b, and
+    when 4 | q - 1 the smaller index of b and -b is kept.  The candidates come
+    out in lex order, and the constructor drops the singular ones.
     """
     if field.order > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
     exp, log, _ = field.log_tables()
     n = field.order - 1
-    # u = g**k and -u = g**(k + n/2) give the same (u^4 a, u^6 b)
-    half = range(n // 2)
 
-    def orbit(i, step):
-        # indices of u**step * e over u = g**k, for e of index i
-        return [exp[(log[i] + step * k) % n] if i else 0 for k in half]
+    def coset_minima(d):
+        # g**k lies in the coset of (F*)^d numbered k mod gcd(d, n)
+        r = math.gcd(d, n)
+        return sorted(min(exp[k::r]) for k in range(r))
 
-    elems = list(field.elements())
-    seen = set()
+    # -b = b * g**(n/2), and (a, -b) is in the class of (a, b) when 4 | n
+    bs = [b for b in range(n + 1) if n % 4 or not b or b < exp[(log[b] + n // 2) % n]]
+    models = [(0, b) for b in coset_minima(6)]
+    models += [(a, b) for a in coset_minima(4) for b in bs]
     reps = []
-    for ai, a in enumerate(elems):
-        for bi, b in enumerate(elems):
-            if (ai, bi) in seen:
-                continue
-            try:
-                curve = EllipticCurve(field, a, b)
-            except SingularCurve:
-                continue
-            reps.append(curve)
-            seen.update(zip(orbit(ai, 4), orbit(bi, 6)))
+    for ai, bi in models:
+        try:
+            reps.append(EllipticCurve(field, field.from_index(ai), field.from_index(bi)))
+        except SingularCurve:
+            pass  # 4a^3 = -27b^2
     return tuple(reps)

@@ -5,14 +5,18 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
 * check curve_inventory by the mass count: the orbits of its classes,
   (q - 1) / automorphism_count models each, must cover the q^2 - q
   nonsingular models exactly;
+* check that each class is the lex-min of its object orbit
+  (class_representative in test_ecurve.py) and that the classes come in
+  strictly increasing (a.index, b.index) order.  With the mass count this
+  makes the inventory equal to the object orbit walk over all models;
 * compare classify.kani_admissible with the reference in galois2 (some
   Frobenius-equivariant isomorphism of the 2-torsion modules is not a
   restriction of a geometric isomorphism) on every ordered pair of classes
   sharing j = 0 or j = 1728, the only pairs where the rule is not settled
   by counting alone.
 
-Prints one line of counts per field and exits 1 on any mismatch or failed
-mass count.
+Prints one line of counts per field and exits 1 on any mismatch, failed
+mass count or failed lex-min check.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -30,6 +34,7 @@ from lambda2.galois2 import (
     module_isomorphisms,
     two_torsion_module,
 )
+from test_ecurve import class_representative
 
 
 def sweep_fields(cap):
@@ -47,6 +52,14 @@ def mass(p, m):
     q = p**m
     covered = sum((q - 1) // E.automorphism_count() for E in curve_inventory(make_field(p, m)))
     return covered, q * q - q
+
+
+def lex_min_failures(p, m):
+    """Classes that are not their orbit's lex-min, plus keys out of order."""
+    inv = curve_inventory(make_field(p, m))
+    keys = [(E.a.index, E.b.index) for E in inv]
+    out_of_order = sum(k1 >= k2 for k1, k2 in zip(keys, keys[1:]))
+    return out_of_order + sum(class_representative(E) != (E.a, E.b) for E in inv)
 
 
 def sweep(p, m):
@@ -70,12 +83,14 @@ def sweep(p, m):
 
 
 def main():
-    fields = total = bad = bad_mass = 0
+    fields = total = bad = bad_mass = bad_lex = 0
     for p, m in sweep_fields(INVENTORY_CAP):
         covered, models = mass(p, m)
+        lex_failed = lex_min_failures(p, m)
         pairs, glue, mismatches = sweep(p, m)
         print(
-            f"q = {p ** m}: orbits cover {covered} of {models} models;"
+            f"q = {p ** m}: orbits cover {covered} of {models} models,"
+            f" {lex_failed} failed lex-min checks;"
             f" {pairs} same-j pairs at j = 0 or 1728,"
             f" {glue} glue, {pairs - glue} do not, {len(mismatches)} mismatches",
             flush=True,
@@ -86,13 +101,15 @@ def main():
         total += pairs
         bad += len(mismatches)
         bad_mass += covered != models
+        bad_lex += lex_failed
         # each field's inventory and modules are needed only once
         curve_inventory.cache_clear()
         two_torsion_module.cache_clear()
         geometric_restrictions.cache_clear()
     print(f"{fields} fields, {total} pairs, {bad} mismatches")
     print(f"{fields} fields, {bad_mass} failed mass counts")
-    return 1 if bad or bad_mass else 0
+    print(f"{fields} fields, {bad_lex} failed lex-min checks")
+    return 1 if bad or bad_mass or bad_lex else 0
 
 
 if __name__ == "__main__":

@@ -163,6 +163,69 @@ def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
     ]
 
 
+def _plant(cache_file, edit):
+    # rewrite a cache entry and re-hash it, so only verify can see the edit
+    entry = json.loads(cache_file.read_text())
+    entry["curves"] = edit(entry["curves"])
+    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
+    cache_file.write_text(json.dumps(entry))
+
+
+def test_verify_holds_each_row_and_the_row_set_to_the_inventory(tmp_path, capsys):
+    # a self-consistent entry with one row's own columns wrong and one class
+    # dropped: the sets still agree, so only the columns and the row set fail
+    def edit(curves):
+        for row in curves:
+            if (row["a"], row["b"]) == ("1", "0"):
+                row.update(a_q=4, two_torsion="Trivial")
+        return [row for row in curves if (row["a"], row["b"]) != ("2", "0")]
+
+    assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
+    _plant(tmp_path / "q5.v1.json", edit)
+    code, out, _ = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
+    assert code == 1, out
+    lines = out.splitlines()
+    assert lines[-1] == "11 classes, 2 mismatches"
+    assert lines[-2] == "a=2 b=0: MISSING from the cache"
+    at = lines.index("a=1 b=0 a_q=+4: MISMATCH")
+    assert lines[at + 6:at + 8] == [
+        "  cache a_q: 4, the curve has 2",
+        "  cache two_torsion: 'Trivial', the curve has 'Full'",
+    ]
+    assert sum(line.endswith("MISMATCH") for line in lines) == 1
+
+
+def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
+    # a correct row listed twice, and (2, 1) = (2^4 * 1, 2^6 * 1) in place of
+    # its class's lex-min model (1, 1): every column and set still agrees
+    def edit(curves):
+        for row in curves:
+            if (row["a"], row["b"]) == ("1", "1"):
+                row["a"] = "2"
+        return curves + [dict(curves[0])]
+
+    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[0] == 0
+    _plant(tmp_path / "q7.v1.json", edit)
+    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 1, out
+    lines = out.splitlines()
+    assert lines[-1] == "19 classes, 3 mismatches"
+    assert lines[-2] == "a=1 b=1: MISSING from the cache"
+    flagged = [at for at, line in enumerate(lines) if line.endswith("MISMATCH")]
+    assert [lines[at].split()[:2] for at in flagged] == [["a=2", "b=1"], ["a=0", "b=1"]]
+    for at in flagged:
+        assert lines[at + 6] == "  not a class of the inventory, or listed twice"
+
+
+def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
+    # as with an empty --cache-dir, the default directory is used
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", "")
+    code, _, err = run(capsys, "table", "--q", "5")
+    assert code == 0, err
+    assert (tmp_path / "cache" / "q5.v1.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -38,8 +38,9 @@ GOLDEN_F5 = {
 }
 
 
-# the orbit reference, on field elements: curve_inventory walks the same
-# orbits on the log tables, and the tests hold it to these
+# the orbit reference, on field elements: curve_inventory reads each class's
+# lex-min model off the cosets of (F*)^4 and (F*)^6 without any orbit, and
+# the tests hold it to these
 
 
 def isomorphism_orbit(E):
@@ -326,10 +327,15 @@ def test_index_pass_equals_the_object_rhs(p, m):
         assert sorted(ecurve._rhs_indices(field, E.a.index, E.b.index)) == want, E
 
 
-def test_inventory_builds_only_class_representatives(monkeypatch):
-    # every model seen in an orbit is skipped before a curve is built: the
-    # constructor runs once per class and once per singular model outside the
-    # seen orbits (q of them in all)
+@pytest.mark.parametrize(
+    "p, m, classes", [(7, 2, 104), (7, 3, 690)], ids=["F49", "F343"]
+)
+def test_inventory_builds_only_class_representatives(p, m, classes, monkeypatch):
+    # the candidates are read off the cosets of (F*)^4 and (F*)^6, so the
+    # constructor runs once per class and once per singular candidate:
+    # 4a^3 = -27b^2 has at most two roots b for each of the gcd(4, q - 1)
+    # values of a
+    field = make_field(p, m)
     built = []
     init = EllipticCurve.__init__
 
@@ -338,6 +344,6 @@ def test_inventory_builds_only_class_representatives(monkeypatch):
         init(self, field, a, b)
 
     monkeypatch.setattr(EllipticCurve, "__init__", counted)
-    classes = curve_inventory.__wrapped__(F49)
-    assert len(classes) == 104
-    assert len(built) <= len(classes) + F49.order
+    inv = curve_inventory.__wrapped__(field)
+    assert len(inv) == classes
+    assert len(built) <= classes + 2 * math.gcd(4, field.order - 1)
