@@ -31,7 +31,6 @@ from .ecurve import (
     FieldTooLarge,
     SingularCurve,
     curve_inventory,
-    enumerate_curves,
     make_curve,
 )
 from .classify import (
@@ -52,14 +51,9 @@ from .classify import (
     weil_poly,
 )
 from .fforacle import (
-    NotGenusTwo,
-    NotPrimeField,
     ZeroFunction,
-    ZetaInconsistent,
     branch_degree,
     cover_census,
-    cover_complementary_trace,
-    cover_point_count,
     cover_representatives,
     lambda_oracle,
 )
@@ -77,23 +71,17 @@ __all__ = [
     "LambdaSet",
     "NotASquare",
     "NotAdmissible",
-    "NotGenusTwo",
-    "NotPrimeField",
     "OutOfHasseWindow",
     "Polynomial",
     "SingularCurve",
     "ZeroFunction",
     "ZeroPolynomial",
-    "ZetaInconsistent",
     "admissible_traces",
     "branch_degree",
     "cover_census",
-    "cover_complementary_trace",
-    "cover_point_count",
     "cover_representatives",
     "curve_inventory",
     "embedding",
-    "enumerate_curves",
     "factor",
     "field_of_order",
     "hasse_window",

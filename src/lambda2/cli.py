@@ -15,8 +15,8 @@ and a content hash; anything stale or damaged is silently recomputed.
 verify recomputes every route on each row's own curve and holds the cached
 sets to them as two more comparands, labelled cache; it also holds each
 row's other columns to its curve, and the rows to the inventory's classes,
-each once.  The exhaustive cover oracle, the independent witness, is never
-cached.
+each once.  A row whose (a, b) is no curve is a mismatch of its own.  The
+exhaustive cover oracle, the independent witness, is never cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
 unusable cache directory included.  A q above a command's cap is invalid
@@ -152,6 +152,8 @@ def _load_or_build_entry(q, cache_dir):
 
 
 def _parse_coefficient(field, text):
+    if not isinstance(text, str):  # a cached cell of another JSON type
+        raise ValueError(f"coefficient {text!r} is not text")
     parts = text.split(",")
     if len(parts) > field.m:
         raise ValueError(
@@ -227,13 +229,22 @@ def cmd_verify(args):
     unlisted = dict.fromkeys((str(E.a), str(E.b)) for E in curve_inventory(field))
     failures = 0
     for row in entry["curves"]:
+        label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         # every route runs afresh on the row's own (a, b); the cached sets
         # are two more comparands and the cached columns are held to it
-        curve = make_curve(
-            field,
-            _parse_coefficient(field, row["a"]),
-            _parse_coefficient(field, row["b"]),
-        )
+        try:
+            curve = make_curve(
+                field,
+                _parse_coefficient(field, row["a"]),
+                _parse_coefficient(field, row["b"]),
+            )
+        except ValueError as exc:
+            # a cached (a, b) that is no curve is this row's fault, and its
+            # class stays unlisted
+            failures += 1
+            print(f"{label}: MISMATCH")
+            print(f"  cache (a, b): {exc}")
+            continue
         sets = {
             "formula": lambda_formula_resolved(curve).traces,
             "kani": lambda_exact(curve).traces,
@@ -253,7 +264,6 @@ def cmd_verify(args):
             del unlisted[key]
         else:
             faults.append("  not a class of the inventory, or listed twice")
-        label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         if len(set(sets.values())) == 1 and not faults:
             traces = ";".join(str(t) for t in sets["kani"])
             print(f"{label}: ok  [{traces}]")

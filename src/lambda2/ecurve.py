@@ -48,7 +48,7 @@ class FieldTooLarge(ValueError):
 class EllipticCurve:
     """y^2 = x^3 + a*x + b over a fixed finite field, validated on creation."""
 
-    __slots__ = ("field", "a", "b", "_trace", "_j", "_counts")
+    __slots__ = ("field", "a", "b", "indices", "_trace", "_j", "_counts")
 
     def __init__(self, field, a, b):
         if field.p <= 3:
@@ -62,6 +62,8 @@ class EllipticCurve:
         self.field = field
         self.a = a
         self.b = b
+        # (a.index, b.index), read by every index-arithmetic pass
+        self.indices = (a.index, b.index)
         self._trace = None
         self._j = None
         self._counts = None
@@ -107,7 +109,7 @@ class EllipticCurve:
                 p, a, b = field.p, self.a.coeffs[0], self.b.coeffs[0]
                 values = (((x * x + a) * x + b) % p for x in range(p))
             else:
-                values = _rhs_indices(field, self.a.index, self.b.index)
+                values = _rhs_indices(field, *self.indices)
             squares = field.squares_table()
             roots = hits = 0
             for v in values:
@@ -230,20 +232,8 @@ def make_curve(field, a, b):
 
 
 # ---------------------------------------------------------------------------
-# enumeration and inventory
+# inventory
 # ---------------------------------------------------------------------------
-
-
-def enumerate_curves(field):
-    """Every nonsingular (a, b) model, ordered by (a.index, b.index)."""
-    if field.order > INVENTORY_CAP:
-        raise FieldTooLarge(f"enumeration is capped at field size {INVENTORY_CAP}")
-    for a in field.elements():
-        for b in field.elements():
-            try:
-                yield EllipticCurve(field, a, b)
-            except SingularCurve:
-                pass
 
 
 @lru_cache(maxsize=None)

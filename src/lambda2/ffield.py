@@ -19,12 +19,17 @@ deterministic as well.
 Each field builds its lookup tables on first use, all indexed by element
 index.  log_tables() holds int arrays exp, log and Zech log(1 + g**k) for
 the smallest primitive element g, so sums and products of nonzero elements
-are index arithmetic: the extension-field x-line and the inventory's orbit
-walk run on them.  squares_table() is one byte per element holding 1 at
-every square (zero included) and 0 elsewhere: a prime field fills it from
-x*x mod p on plain ints, an extension field from the even powers in exp.
-The curve point counts and the oracle's place counts index it directly;
-is_square is a power, so a single test never builds a table.
+are index arithmetic: the extension-field x-line runs on them, and the
+class inventory reads the cosets of (F*)^4 and (F*)^6 off exp.
+index_arithmetic() spends O(q^2) memory, once, to turn those into plain
+lookups: q x q addition and multiplication rows and negation and inverse
+vectors, on which the oracle's cover census runs over every field it is
+asked about, prime or not (a prime field's indices are its residues).
+squares_table() is one byte per element holding 1 at every square (zero
+included) and 0 elsewhere: a prime field fills it from x*x mod p on plain
+ints, an extension field from the even powers in exp.  The curve point
+counts and the oracle's place counts index it directly; is_square is a
+power, so a single test never builds a table.
 """
 
 from __future__ import annotations
@@ -136,6 +141,7 @@ class FiniteField:
         "_squares",
         "_nonsquare",
         "_logs",
+        "_arith",
     )
 
     def __init__(self, p, m, modulus_coeffs):
@@ -154,6 +160,7 @@ class FiniteField:
         self._squares = None
         self._nonsquare = None
         self._logs = None
+        self._arith = None
 
     @property
     def zero(self):
@@ -245,6 +252,31 @@ class FiniteField:
             zech = array("i", (log[i - i % p + (i + 1) % p] for i in exp))
             self._logs = (exp, log, zech)
         return self._logs
+
+    def index_arithmetic(self):
+        """(add, mul, neg, inv) on element indices, built once from log_tables.
+
+        add[i][j] and mul[i][j] are the indices of the sum and the product of
+        elements i and j, q rows of q ints each, so only small fields should
+        ask; neg[i] and inv[i] index -x and x**(q-2), with inv[0] = 0.  The
+        index of the integer k is k % p on every field.
+        """
+        if self._arith is None:
+            exp, log, zech = self.log_tables()
+            n = self.order - 1
+            half = n // 2  # g**half = -1
+            nonzero = range(1, n + 1)
+            add, mul = [list(range(n + 1))], [[0] * (n + 1)]
+            for i in nonzero:
+                li = log[i]
+                # g**li + g**lj = g**(li + zech[lj - li]); a zero sum has zech -1
+                zi = [zech[(log[j] - li) % n] for j in nonzero]
+                add.append([i] + [exp[(li + z) % n] if z >= 0 else 0 for z in zi])
+                mul.append([0] + [exp[(li + log[j]) % n] for j in nonzero])
+            neg = [0] + [exp[(log[i] + half) % n] for i in nonzero]
+            inv = [0] + [exp[-log[i] % n] for i in nonzero]
+            self._arith = (add, mul, neg, inv)
+        return self._arith
 
     def nonsquare(self):
         """Canonically smallest non-residue, used for twists and square roots."""

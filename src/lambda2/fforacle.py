@@ -7,14 +7,14 @@ nothing outside that space produces new covers).  The cover has genus 2
 exactly when the branch divisor of the quadratic extension has degree 2, a
 condition read off the norm u^2 - v^2*f without ever constructing the
 extension.  For v != 0 the norm has degree 3 or 4, and when its discriminant
-is nonzero mod p it is squarefree: every prime of it branches and the degree
+is nonzero it is squarefree: every prime of it branches and the degree
 is 4, so most covers are rejected by one closed form.  For v = 0 the degree
 follows from u and its common roots with the cubic.  The remaining norms,
 repeated cubics and quartics, are settled by their shape: a prime branches
 exactly when its multiplicity is odd, so a repeated quartic branches nowhere
 exactly when it is a constant times a square (branch_degree gives the case
-proof).  Every case is a closed form in residues; no polynomial is built per
-cover.
+proof).  Every case is a closed form on element indices; no polynomial is
+built per cover.
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -27,12 +27,15 @@ and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
-The census runs on residues mod p: the oracle serves prime fields of order
-at most ORACLE_MAX_Q = 19 only, so cover_representatives yields residues, and
-the branch test, the place count and the local units at the zeros of g all
-work on plain ints.  Field objects appear once per point of E, to build its
-local expansions.  cover_point_count keeps the object count, which also runs
-over F_{q^2}, as the reference the tests hold the census to.
+The census runs on element indices, with one arithmetic for every field of
+characteristic at least 5: cover_representatives yields indices, and the
+branch test, the place count and the local units at the zeros of g read
+sums, products, negatives and inverses off the field's q x q index tables
+(FiniteField.index_arithmetic).  A prime field's indices are its residues,
+so prime and extension fields share every line.  Field objects appear once
+per point of E, to build its local expansions.  The object place counter,
+which also runs over F_{q^2}, is the test reference in
+tests/object_reference.py; the tests hold the census to it.
 
 A second, slower route to the same branch data, which factors the norm and
 reads valuations off local expansions place by place, is the reference in
@@ -44,8 +47,6 @@ from __future__ import annotations
 
 from .ffield import (
     InvariantViolation,
-    Polynomial,
-    embedding,
     squarefree_decomposition,  # unused here; perfbench/tracer.py patches this name
 )
 from .ecurve import FieldTooLarge
@@ -55,26 +56,14 @@ from .classify import LambdaSet
 # needed valuation sits strictly below this
 SERIES_PRECISION = 6
 
-# enumeration is cubic in q and the residue-field towers stay single-layer
-# only over a prime field, so the oracle stops here; larger and non-prime
-# fields are served by the other two routes
+# enumeration is cubic in q, so the oracle stops here; the census itself runs
+# on any field, but oracle_serves offers it on prime fields only, and larger
+# and non-prime fields are served by the other two routes
 ORACLE_MAX_Q = 19
 
 
 class ZeroFunction(ValueError):
     """Raised for the zero function, which has no divisor."""
-
-
-class NotGenusTwo(ValueError):
-    """Raised when a cover expected to have genus 2 does not."""
-
-
-class NotPrimeField(ValueError):
-    """Raised when residue arithmetic mod p is asked to serve an extension field."""
-
-
-class ZetaInconsistent(RuntimeError):
-    """Point counts contradicting the Weil polynomial; a bug if ever seen."""
 
 
 def _series_mul(a, b, zero):
@@ -146,41 +135,38 @@ def _point_powers(curve, x0, y0):
     return xs, _series_mul(xs, xs, curve.field.zero), ys
 
 
-def _local_unit(ucoeffs, v, powers):
-    """(valuation, unit value) of g = u(x) + v*y at a zero on the curve, from
-    the point's expansions (x, x^2, y)."""
-    u0, u1, u2 = ucoeffs
-    xs, x2, ys = powers
-    gs = [u1 * xs[i] + u2 * x2[i] + v * ys[i] for i in range(SERIES_PRECISION)]
-    gs[0] = gs[0] + u0
-    for w, c in enumerate(gs):
-        if not c.is_zero():
-            return w, c
-    raise InvariantViolation("zero of unexpected multiplicity")
-
-
-def squarefree_by_discriminant(p, f):
-    """Whether the int list f of degree 3 or 4 over F_p, p >= 5, is squarefree.
+def squarefree_by_discriminant(field, f):
+    """Whether f of degree 3 or 4, a list of element indices, is squarefree.
 
     For f = a*x^4 + b*x^3 + c*x^2 + d*x + e take the invariants
     I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27b^2e - 2c^3.  Then
     4I^3 - J^2 is 27 times the discriminant of f, and for a = 0 it is 27*b^2
-    times the discriminant of the cubic.  With p >= 5 and a nonzero leading
-    coefficient it vanishes mod p exactly when f has a repeated factor.
+    times the discriminant of the cubic.  With characteristic at least 5 and a
+    nonzero leading coefficient it vanishes exactly when f has a repeated
+    factor.
     """
+    add, mul, neg, _ = field._arith or field.index_arithmetic()
+    p = field.p
     e, d, c, b, a = f if len(f) == 5 else (*f, 0)
-    i = 12 * a * e - 3 * b * d + c * c
-    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c * c * c
-    return (4 * i * i * i - j * j) % p != 0
+    mc = mul[c]
+    ae, bd, cc = mul[a][e], mul[b][d], mc[c]
+    i = add[add[mul[12 % p][ae]][neg[mul[3][bd]]]][cc]
+    # J = 9c(8ae + bd) - 27(ad^2 + b^2e) - 2c^3
+    j = add[mul[9 % p][mc[add[mul[8 % p][ae]][bd]]]][
+        neg[add[mul[27 % p][add[mul[a][mul[d][d]]][mul[mul[b][b]][e]]]][mul[2][mc[cc]]]]
+    ]
+    return mul[4][mul[i][mul[i][i]]] != mul[j][j]
 
 
 def branch_degree(curve, u, v):
     """Degree of the branch divisor of w^2 = u(x) + v*y over the curve.
 
-    u is a sequence of at most three residues (u0, u1, u2) and v a residue,
-    as cover_representatives yields them.  The curve must live over a prime
-    field (NotPrimeField otherwise); u = v = 0 raises ZeroFunction.  Every
-    case below is a closed form in the residues; no polynomial is built.
+    u is a sequence of at most three element indices (u0, u1, u2) and v an
+    index, as cover_representatives yields them; on a prime field these are
+    the residues.  An index outside range(q) raises ValueError, and so does
+    u of degree above 2; u = v = 0 raises ZeroFunction.  Every case below is
+    a closed form on the field's index tables; no polynomial is built.  The
+    characteristic is at least 5, so 2, 3 and 4 are their own indices.
 
     v = 0: g = u(x), and a prime of u of multiplicity w has valuation w at
     each place above it, or 2w when it divides f (it ramifies in E); the pole
@@ -213,107 +199,87 @@ def branch_degree(curve, u, v):
     n0 = beta^2 to check; otherwise it is 2.
     """
     field = curve.field
-    if field.m != 1:
-        raise NotPrimeField(f"the branch test works mod p; {field!r} is not a prime field")
-    p = field.p
-    u0, u1, u2, *high = [c % p for c in u] + [0] * (3 - len(u))
-    if any(high):
-        raise ValueError("u must have degree at most 2")
-    v %= p
-    a, b = curve.a.coeffs[0], curve.b.coeffs[0]
+    q = field.order
+    if len(u) != 3:
+        # pad a short u; a longer one may carry only zeros above degree 2
+        if any(u[3:]):
+            raise ValueError("u must have degree at most 2")
+        u = (*u, 0, 0, 0)[:3]
+    u0, u1, u2 = u
+    # a negative index would wrap around in the tables and answer silently
+    if not (0 <= u0 < q and 0 <= u1 < q and 0 <= u2 < q and 0 <= v < q):
+        raise ValueError(f"u and v must be element indices in range({q})")
+    # the built tables, read without a method call on every cover
+    add, mul, neg, inv = field._arith or field.index_arithmetic()
+    a, b = curve.indices
     if not v:
         if u2:
-            if (u1 * u1 - 4 * u0 * u2) % p == 0:
+            if mul[u1][u1] == mul[4][mul[u0][u2]]:
                 return 0
-            inv = pow(u2, p - 2, p)
-            s, t = u1 * inv % p, u0 * inv % p
-            r1, r0 = (s * s - t + a) % p, (s * t + b) % p
+            s, t = mul[u1][inv[u2]], mul[u0][inv[u2]]
+            r1, r0 = add[add[mul[s][s]][neg[t]]][a], add[mul[s][t]][b]
             if not r1:
                 shared = 0 if r0 else 2
             else:
-                x0 = -r0 * pow(r1, p - 2, p)
-                shared = 0 if (t + x0 * (s + x0)) % p else 1
+                x0 = neg[mul[r0][inv[r1]]]
+                shared = 0 if add[t][mul[x0][add[s][x0]]] else 1
             return 2 * (2 - shared)
         if u1:
-            x0 = -u0 * pow(u1, p - 2, p)
-            return 0 if (b + x0 * (a + x0 * x0)) % p == 0 else 2
+            x0 = neg[mul[u0][inv[u1]]]
+            return 0 if add[b][mul[x0][add[a][mul[x0][x0]]]] == 0 else 2
         if u0:
             return 0
         raise ZeroFunction("the zero function has no branch divisor")
-    vv = v * v
+    vv, m0, m1, two = mul[v][v], mul[u0], mul[u1], mul[2]
     norm = [
-        (u0 * u0 - vv * b) % p,
-        (2 * u0 * u1 - vv * a) % p,
-        (u1 * u1 + 2 * u0 * u2) % p,
-        (2 * u1 * u2 - vv) % p,
-        u2 * u2 % p,
+        add[m0[u0]][neg[mul[vv][b]]],
+        add[two[m0[u1]]][neg[mul[vv][a]]],
+        add[m1[u1]][two[m0[u2]]],
+        add[two[m1[u2]]][neg[vv]],
+        mul[u2][u2],
     ]
-    if squarefree_by_discriminant(p, norm):
+    if squarefree_by_discriminant(field, norm):
         return 4
     if not u2:
         return 2
-    half = (p + 1) // 2
-    inv = pow(norm[4], p - 2, p)
-    n0, n1, n2, n3 = (c * inv for c in norm[:4])
-    alpha = n3 * half % p
-    beta = (n2 - alpha * alpha) * half % p
-    square = (n1 - 2 * alpha * beta) % p == 0 and (n0 - beta * beta) % p == 0
+    half, lead = inv[2], inv[norm[4]]
+    n0, n1, n2, n3 = (mul[c][lead] for c in norm[:4])
+    alpha = mul[n3][half]
+    beta = mul[add[n2][neg[mul[alpha][alpha]]]][half]
+    square = n1 == mul[2][mul[alpha][beta]] and n0 == mul[beta][beta]
     return 0 if square else 2
 
 
-def _count_places(curve, points, sqtable, ucoeffs, v):
+def _count_places(curve, points, squares, ucoeffs, v, powers):
+    """Rational places of w^2 = u(x) + v*y, on element indices: index points,
+    index u and v, and the field's square table.  A point where g is a
+    nonzero square gives 2 places and a nonsquare none.  At a zero of g the
+    valuation and unit are read off the point's expansions (x, x^2, y) as
+    index lists, built once per point and kept in the caller's dict powers,
+    keyed by index point: odd valuation gives 1 place, even 2 or 0 by the
+    unit's square class."""
+    add, mul, _, _ = curve.field.index_arithmetic()
     u0, u1, u2 = ucoeffs
-    if not v.is_zero() and u2.is_zero():
+    if v and not u2:
         total = 1  # odd pole order at infinity: a single ramified place
     else:
         # even order at infinity: the unit there is the leading coefficient
-        lead = u2 if not u2.is_zero() else (u1 if not u1.is_zero() else u0)
-        total = 2 if sqtable[lead.index] else 0
+        total = 2 if squares[u2 or u1 or u0] else 0
     for x0, y0 in points:
-        val = u0 + x0 * (u1 + x0 * u2) + v * y0
-        if not val.is_zero():
-            if sqtable[val.index]:
-                total += 2
-        else:
-            w, unit = _local_unit(ucoeffs, v, _point_powers(curve, x0, y0))
-            if w % 2 == 1:
-                total += 1
-            elif sqtable[unit.index]:
-                total += 2
-    return total
-
-
-def _residue_powers(curve, x0, y0):
-    """The expansions of _point_powers at an int point, as residue lists."""
-    elem = curve.field.element
-    return tuple([c.coeffs[0] for c in s] for s in _point_powers(curve, elem(x0), elem(y0)))
-
-
-def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
-    """_count_places on residues mod p: int points, int u and v, and the
-    field's square table indexed by residue.  At a zero of g the valuation and
-    unit are read off the point's expansions (x, x^2, y) as int lists, built
-    once per point and kept in the caller's dict powers, keyed by int point."""
-    p = curve.field.p
-    u0, u1, u2 = ucoeffs
-    if v and not u2:
-        total = 1
-    else:
-        lead = u2 or u1 or u0
-        total = 2 if squares[lead] else 0
-    for x0, y0 in points:
-        val = (u0 + x0 * (u1 + x0 * u2) + v * y0) % p
+        val = add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][mul[v][y0]]
         if val:
             if squares[val]:
                 total += 2
             continue
         at = powers.get((x0, y0))
         if at is None:
-            at = powers[x0, y0] = _residue_powers(curve, x0, y0)
+            field = curve.field
+            series = _point_powers(curve, field.from_index(x0), field.from_index(y0))
+            at = powers[x0, y0] = tuple([c.index for c in s] for s in series)
         xs, x2, ys = at
         # the constant term is val = 0
         for w in range(1, SERIES_PRECISION):
-            unit = (u1 * xs[w] + u2 * x2[w] + v * ys[w]) % p
+            unit = add[add[mul[u1][xs[w]]][mul[u2][x2[w]]]][mul[v][ys[w]]]
             if unit:
                 break
         else:
@@ -325,103 +291,44 @@ def _count_places_mod_p(curve, points, squares, ucoeffs, v, powers):
     return total
 
 
-def cover_point_count(curve, u, v, k=1):
-    """Rational-place count of the cover w^2 = u(x) + v*y over F_{q^k}."""
-    ucoeffs = _as_triple(curve.field, u)
-    if isinstance(v, int):
-        v = curve.field.element(v)
-    if k == 1:
-        ext, ecoeffs, ev = curve, ucoeffs, v
-    else:
-        ext = curve.base_change(k)
-        lift = embedding(curve.field, ext.field)
-        ecoeffs = tuple(lift(c) for c in ucoeffs)
-        ev = lift(v)
-    return _count_places(
-        ext, ext.affine_points(), ext.field.squares_table(), ecoeffs, ev
-    )
-
-
-def cover_complementary_trace(curve, u, v):
-    """Trace of the complement: q + 1 - #places of the cover - trace(E).
-
-    The value is checked before release: the cover must have branch degree
-    2, the trace must sit in the Hasse window, and the count over the
-    quadratic extension must match the degree-4 Weil polynomial.  Raises
-    NotGenusTwo for the wrong branch degree and ZetaInconsistent if a check
-    fails (which would mean a counting bug, never bad input).  A cross-check:
-    tests hold cover_census's residue place count to it, cover by cover.
-    """
-    field = curve.field
-    ucoeffs = _as_triple(field, u)
-    if isinstance(v, int):
-        v = field.element(v)
-    if branch_degree(curve, [c.coeffs[0] for c in ucoeffs], v.coeffs[0]) != 2:
-        raise NotGenusTwo("the branch divisor does not have degree 2")
-    q = field.order
-    a = curve.trace()
-    ap = q + 1 - cover_point_count(curve, ucoeffs, v) - a
-    n2 = cover_point_count(curve, ucoeffs, v, k=2)
-    if ap * ap > 4 * q or n2 != q * q + 1 - (a * a - 2 * q) - (ap * ap - 2 * q):
-        raise ZetaInconsistent(f"counts for u={ucoeffs}, v={v} break the zeta identity")
-    return ap
-
-
-def _as_triple(field, u):
-    if isinstance(u, Polynomial):
-        coeffs = list(u.coeffs)
-    else:
-        coeffs = [field.element(c) for c in u]
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if len(coeffs) > 3:
-        raise ValueError("u must have degree at most 2")
-    while len(coeffs) < 3:
-        coeffs.append(field.zero)
-    return tuple(coeffs)
-
-
 def cover_representatives(field):
     """Generators of the quadratic extensions, one per square-scaling class.
 
-    Yields residue triples (u0, u1, u2) and a residue v, so the field must be
-    prime (NotPrimeField otherwise).  Scaling g by a square changes nothing,
-    so v is pinned to 0, 1 or the canonical nonsquare, and for v = 0 the
-    polynomial u is monic up to that same nonsquare.  Constants are skipped
-    (they give the trivial cover).
+    Yields index triples (u0, u1, u2) and an index v, residues on a prime
+    field.  Scaling g by a square changes nothing, so v is pinned to 0, 1 or
+    the canonical nonsquare, and for v = 0 the polynomial u is monic up to
+    that same nonsquare.  Constants are skipped (they give the trivial
+    cover).
     """
-    if field.m != 1:
-        raise NotPrimeField(f"covers are enumerated mod p; {field!r} is not a prime field")
-    p = field.p
-    nu = field.nonsquare().coeffs[0]
+    q = field.order
+    mul = field.index_arithmetic()[1]
+    nu = field.nonsquare().index
     for scale in (1, nu):
-        for c0 in range(p):
-            yield (c0 * scale % p, scale, 0), 0
-        for c0 in range(p):
-            for c1 in range(p):
-                yield (c0 * scale % p, c1 * scale % p, scale), 0
+        row = mul[scale]
+        for c0 in range(q):
+            yield (row[c0], scale, 0), 0
+        for c0 in range(q):
+            for c1 in range(q):
+                yield (row[c0], row[c1], scale), 0
     for v in (1, nu):
-        for u0 in range(p):
-            for u1 in range(p):
-                for u2 in range(p):
+        for u0 in range(q):
+            for u1 in range(q):
+                for u2 in range(q):
                     yield (u0, u1, u2), v
 
 
 def cover_census(curve):
-    """Complementary-trace histogram over all genus-2 double covers.
-
-    Works on residues mod p, so the curve must live over a prime field.
-    """
+    """Complementary-trace histogram over all genus-2 double covers."""
     field = curve.field
-    points = [(x.coeffs[0], y.coeffs[0]) for x, y in curve.affine_points()]
+    points = [(x.index, y.index) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
-    powers = {}  # residue expansions per point, shared by every cover
+    powers = {}  # index expansions per point, shared by every cover
     counts = {}
     for ucoeffs, v in cover_representatives(field):
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        ap = base - _count_places_mod_p(curve, points, squares, ucoeffs, v, powers)
+        ap = base - _count_places(curve, points, squares, ucoeffs, v, powers)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
 

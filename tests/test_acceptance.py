@@ -24,16 +24,16 @@ from lambda2.classify import (
     two_torsion_profile_by_trace,
     weil_poly,
 )
-from lambda2.ecurve import curve_inventory, enumerate_curves, make_curve
+from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order
 from lambda2.fforacle import (
     branch_degree,
     cover_census,
-    cover_point_count,
     cover_representatives,
     lambda_oracle,
 )
 from lambda2.galois2 import all_isos_are_restrictions, rigidity_closed_form
+from object_reference import cover_point_count, enumerate_curves
 
 ELAPSED = {}
 

@@ -217,6 +217,35 @@ def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
         assert lines[at + 6] == "  not a class of the inventory, or listed twice"
 
 
+@pytest.mark.parametrize(
+    "b, reason",
+    [
+        ("0", "y^2 = x^3 + 0*x + 0 is singular"),
+        ("x", "invalid literal for int() with base 10: 'x'"),
+        ("1,2", "coefficient '1,2' has 2 residues; F_5 takes at most 1"),
+        (2, "coefficient 2 is not text"),
+    ],
+    ids=["singular", "not-a-number", "too-many-residues", "not-text"],
+)
+def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, b, reason):
+    # row 1 is the class (0, 2); with its b replaced by a singular or
+    # unparseable value, or by a JSON number, that row alone is a mismatch and its class goes
+    # missing, while every other row is still checked
+    def edit(curves):
+        assert (curves[1]["a"], curves[1]["b"]) == ("0", "2")
+        curves[1]["b"] = b
+        return curves
+
+    assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
+    _plant(tmp_path / "q5.v1.json", edit)
+    code, out, err = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
+    assert (code, err) == (1, ""), err
+    lines = out.splitlines()
+    assert lines[1:3] == [f"a=0 b={b} a_q=+0: MISMATCH", f"  cache (a, b): {reason}"]
+    assert lines[-2:] == ["a=0 b=2: MISSING from the cache", "12 classes, 2 mismatches"]
+    assert sum(": ok  [" in line for line in lines) == 11
+
+
 def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
     # as with an empty --cache-dir, the default directory is used
     monkeypatch.chdir(tmp_path)

