@@ -7,16 +7,16 @@ Subcommands:
 * verify      run the independent computation routes against each other;
 * admissible  realizable elliptic-curve traces over F_q.
 
-table and verify cache inventories together with their formula- and
-enumeration-derived trace sets on disk as cache/q{q}.v1.json (override with
+table and verify cache table's rows, the classes of the inventory in order
+with their Kani sets, on disk as cache/q{q}.v2.json (override with
 --cache-dir or the LAMBDA2_CACHE_DIR environment variable); lambda computes
-afresh and takes no --cache-dir.  Cache files embed a schema version
-and a content hash; anything stale or damaged is silently recomputed.
-verify recomputes every route on each row's own curve and holds the cached
-sets to them as two more comparands, labelled cache; it also holds each
-row's other columns to its curve, and the rows to the inventory's classes,
-each once.  A row whose (a, b) is no curve is a mismatch of its own.  The
-exhaustive cover oracle, the independent witness, is never cached.
+afresh and takes no --cache-dir.  Cache files embed a schema version and a
+content hash; anything stale, damaged or of another shape is silently
+recomputed.  verify walks the inventory, recomputes every route on each
+class, and holds the cached row at the class's position to a fresh build of
+that row, column by column; a class the cached rows do not reach, and a
+cached row beyond the inventory, are mismatches too.  The exhaustive cover
+oracle, the independent witness, is never cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
 unusable cache directory included.  A q above a command's cap is invalid
@@ -53,7 +53,7 @@ from .ecurve import (
 from .ffield import field_of_order
 from .fforacle import ORACLE_MAX_Q, lambda_oracle, oracle_serves
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 _MODE_FUNCTIONS = {
     "formula": lambda_formula_resolved,
@@ -61,7 +61,7 @@ _MODE_FUNCTIONS = {
     "oracle": lambda_oracle,
 }
 
-# table's columns, in order: cache row keys, and the row's Kani set last
+# table's columns, in order, and the keys of a cached row
 _TABLE_COLUMNS = (
     "a",
     "b",
@@ -88,8 +88,8 @@ def _cache_dir(args):
     return args.cache_dir or os.environ.get("LAMBDA2_CACHE_DIR") or "cache"
 
 
-def _curve_columns(curve):
-    """Every cached column of the curve's row but its trace sets."""
+def _row(curve):
+    """table's row for one class: its curve columns and its Kani set."""
     return {
         "a": str(curve.a),
         "b": str(curve.b),
@@ -98,22 +98,14 @@ def _curve_columns(curve):
         "two_torsion": curve.two_torsion_structure(),
         "supersingular": curve.is_supersingular(),
         "aut_count": curve.automorphism_count(),
+        "lambda_traces": list(lambda_exact(curve).traces),
     }
 
 
 def _build_entry(q):
-    field = field_of_order(q)
-    curves = []
-    for curve in curve_inventory(field):
-        row = _curve_columns(curve)
-        row["lambda"] = {
-            "formula": list(lambda_formula_resolved(curve).traces),
-            "kani": list(lambda_exact(curve).traces),
-        }
-        curves.append(row)
-    entry = {"schema": CACHE_SCHEMA, "q": q, "curves": curves}
-    entry["hash"] = _content_hash({"schema": CACHE_SCHEMA, "q": q, "curves": curves})
-    return entry
+    curves = [_row(curve) for curve in curve_inventory(field_of_order(q))]
+    body = {"schema": CACHE_SCHEMA, "q": q, "curves": curves}
+    return dict(body, hash=_content_hash(body))
 
 
 def _load_or_build_entry(q, cache_dir):
@@ -126,11 +118,16 @@ def _load_or_build_entry(q, cache_dir):
             entry = json.load(fh)
     except (OSError, ValueError):
         entry = None
-    # valid JSON that is not an object with schema, q and curves is damage too
+    # valid JSON that is not an object with schema, q and a list of rows
+    # keyed by table's columns is damage too, hash or no hash
     if isinstance(entry, dict) and {"schema", "q", "curves"} <= entry.keys():
         body = {k: entry[k] for k in ("schema", "q", "curves")}
         current = body["schema"] == CACHE_SCHEMA and body["q"] == q
-        if current and entry.get("hash") == _content_hash(body):
+        rows = body["curves"]
+        shaped = isinstance(rows, list) and all(
+            isinstance(row, dict) and row.keys() == set(_TABLE_COLUMNS) for row in rows
+        )
+        if current and shaped and entry.get("hash") == _content_hash(body):
             return entry
     entry = _build_entry(q)
     # an unusable cache directory is bad input, not a verify mismatch
@@ -152,8 +149,6 @@ def _load_or_build_entry(q, cache_dir):
 
 
 def _parse_coefficient(field, text):
-    if not isinstance(text, str):  # a cached cell of another JSON type
-        raise ValueError(f"coefficient {text!r} is not text")
     parts = text.split(",")
     if len(parts) > field.m:
         raise ValueError(
@@ -172,11 +167,7 @@ def _csv_cell(value):
 
 
 def cmd_table(args):
-    entry = _load_or_build_entry(args.q, _cache_dir(args))
-    rows = []
-    for row in entry["curves"]:
-        row = dict(row, lambda_traces=row["lambda"]["kani"])
-        rows.append({col: row[col] for col in _TABLE_COLUMNS})
+    rows = _load_or_build_entry(args.q, _cache_dir(args))["curves"]
     if args.format == "json":
         print(_dumps(rows))
         return 0
@@ -222,48 +213,31 @@ def cmd_lambda(args):
 
 def cmd_verify(args):
     q = args.q
-    entry = _load_or_build_entry(q, _cache_dir(args))
+    cached = _load_or_build_entry(q, _cache_dir(args))["curves"]
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
-    # the cached (a, b) must be the inventory's classes, each once
-    unlisted = dict.fromkeys((str(E.a), str(E.b)) for E in curve_inventory(field))
+    inventory = curve_inventory(field)
     failures = 0
-    for row in entry["curves"]:
+    for at, curve in enumerate(inventory):
+        # every route runs afresh on the class; the cached row at its
+        # position must be the row a fresh build gives, by repr, so that a
+        # cached 1 for true or 2.0 for 2 is a fault too
+        row = _row(curve)
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
-        # every route runs afresh on the row's own (a, b); the cached sets
-        # are two more comparands and the cached columns are held to it
-        try:
-            curve = make_curve(
-                field,
-                _parse_coefficient(field, row["a"]),
-                _parse_coefficient(field, row["b"]),
-            )
-        except ValueError as exc:
-            # a cached (a, b) that is no curve is this row's fault, and its
-            # class stays unlisted
-            failures += 1
-            print(f"{label}: MISMATCH")
-            print(f"  cache (a, b): {exc}")
-            continue
         sets = {
             "formula": lambda_formula_resolved(curve).traces,
-            "kani": lambda_exact(curve).traces,
-            "cache formula": tuple(row["lambda"]["formula"]),
-            "cache kani": tuple(row["lambda"]["kani"]),
+            "kani": tuple(row["lambda_traces"]),
         }
         if use_oracle:
             sets["oracle"] = lambda_oracle(curve).traces
-        # repr, so that a cached 1 for true or 2.0 for 2 is a fault too
-        faults = [
-            f"  cache {col}: {row.get(col)!r}, the curve has {value!r}"
-            for col, value in _curve_columns(curve).items()
-            if repr(row.get(col)) != repr(value)
-        ]
-        key = (row["a"], row["b"])
-        if key in unlisted:
-            del unlisted[key]
+        if at < len(cached):
+            faults = [
+                f"  cache {col}: {cached[at][col]!r}, the curve has {value!r}"
+                for col, value in row.items()
+                if repr(cached[at][col]) != repr(value)
+            ]
         else:
-            faults.append("  not a class of the inventory, or listed twice")
+            faults = ["  MISSING from the cache"]
         if len(set(sets.values())) == 1 and not faults:
             traces = ";".join(str(t) for t in sets["kani"])
             print(f"{label}: ok  [{traces}]")
@@ -271,13 +245,13 @@ def cmd_verify(args):
             failures += 1
             print(f"{label}: MISMATCH")
             for mode in sorted(sets):
-                print(f"  {mode:13s} {list(sets[mode])}")
+                print(f"  {mode:8s} {list(sets[mode])}")
             for fault in faults:
                 print(fault)
-    for a, b in unlisted:
+    n = len(inventory)
+    for at in range(n, len(cached)):
         failures += 1
-        print(f"a={a} b={b}: MISSING from the cache")
-    n = len(entry["curves"])
+        print(f"cache row {at + 1}: MISMATCH, beyond the inventory's {n} classes")
     if failures:
         print(f"{n} classes, {failures} mismatches")
         return 1

@@ -240,15 +240,20 @@ class FiniteField:
                 for e in self.nonzero_elements()
                 if all(e ** (n // r) != self._one for r in primes)
             )
-            exp, e = array("i", [0]) * n, self._one
+            # g**k as a residue vector, multiplied by g on plain ints; g goes
+            # first, since _vec_mul skips its zero coefficients
+            p, m, modfull, gc = self.p, self.m, self._modfull, g.coeffs
+            exp, c = array("i", [0]) * n, self._one.coeffs
             for k in range(n):
-                exp[k] = e.index
-                e = g * e
+                i = 0
+                for d in reversed(c):
+                    i = i * p + d
+                exp[k] = i
+                c = _vec_mul(p, m, modfull, gc, c)
             log = array("i", [-1]) * (n + 1)
             for k, i in enumerate(exp):
                 log[i] = k
             # 1 + g**k adds 1 to the constant digit of the index of g**k
-            p = self.p
             zech = array("i", (log[i - i % p + (i + 1) % p] for i in exp))
             self._logs = (exp, log, zech)
         return self._logs

@@ -17,19 +17,26 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
 * hold the cover census (fforacle.cover_census, on element indices) to
   classify.lambda_exact on every class of F_25 and on the rigid classes of
   F_49 (j = 0 with Trivial 2-torsion, j = 1728 with C2), where formula and
-  Kani agree by construction and only actual covers check the gluing rule.
+  Kani agree by construction and only actual covers check the gluing rule;
+* run the CLI through cli.main on a temporary cache directory: a cold
+  table, a warm table that must print the cold table's bytes, and verify,
+  which must exit 0 on the entry table wrote.
 
 Prints one line of counts per field and exits 1 on any mismatch, failed
-mass count, failed lex-min check or failed census check.
+mass count, failed lex-min check, failed census check or failed CLI check.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
     PYTHONPATH=src python tests/kani_reference_sweep.py
 """
 
+import contextlib
+import io
 import itertools
 import sys
+import tempfile
 
+from lambda2 import cli
 from lambda2.classify import _rigid, kani_admissible, lambda_exact
 from lambda2.ecurve import INVENTORY_CAP, curve_inventory
 from lambda2.ffield import make_field, prime_power
@@ -100,17 +107,37 @@ def census_failures(p, m, rigid_only):
     return len(curves), failed
 
 
+def cli_failures(q):
+    """Failed CLI checks at q: cold table exit, warm table bytes, verify exit."""
+
+    def run(command):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--q", str(q), "--cache-dir", cache_dir])
+        return code, out.getvalue()
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cold = run("table")
+        warm = run("table")
+        verify = run("verify")
+    if verify[0] != 0:
+        print(verify[1], end="")
+    return (cold[0] != 0) + (warm != cold) + (verify[0] != 0)
+
+
 def main():
-    fields = total = bad = bad_mass = bad_lex = 0
+    fields = total = bad = bad_mass = bad_lex = bad_cli = 0
     for p, m in sweep_fields(INVENTORY_CAP):
         covered, models = mass(p, m)
         lex_failed = lex_min_failures(p, m)
         pairs, glue, mismatches = sweep(p, m)
+        cli_failed = cli_failures(p**m)
         print(
             f"q = {p ** m}: orbits cover {covered} of {models} models,"
             f" {lex_failed} failed lex-min checks;"
             f" {pairs} same-j pairs at j = 0 or 1728,"
-            f" {glue} glue, {pairs - glue} do not, {len(mismatches)} mismatches",
+            f" {glue} glue, {pairs - glue} do not, {len(mismatches)} mismatches;"
+            f" {cli_failed} failed CLI checks",
             flush=True,
         )
         for E1, E2 in mismatches:
@@ -120,6 +147,7 @@ def main():
         bad += len(mismatches)
         bad_mass += covered != models
         bad_lex += lex_failed
+        bad_cli += cli_failed
         # each field's inventory and modules are needed only once
         curve_inventory.cache_clear()
         two_torsion_module.cache_clear()
@@ -127,6 +155,7 @@ def main():
     print(f"{fields} fields, {total} pairs, {bad} mismatches")
     print(f"{fields} fields, {bad_mass} failed mass counts")
     print(f"{fields} fields, {bad_lex} failed lex-min checks")
+    print(f"{fields} fields, {bad_cli} failed CLI checks (cold table, warm table, verify)")
     checked = bad_census = 0
     for p, m, rigid_only in ((5, 2, False), (7, 2, True)):
         n, failed = census_failures(p, m, rigid_only)
@@ -135,7 +164,7 @@ def main():
         checked += n
         bad_census += failed
     print(f"{checked} classes, {bad_census} failed census checks")
-    return 1 if bad or bad_mass or bad_lex or bad_census else 0
+    return 1 if bad or bad_mass or bad_lex or bad_census or bad_cli else 0
 
 
 if __name__ == "__main__":

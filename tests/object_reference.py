@@ -9,6 +9,8 @@ index code to.  pytest does not collect this file.
   index place count.
 """
 
+from functools import lru_cache
+
 from lambda2.ecurve import INVENTORY_CAP, EllipticCurve, FieldTooLarge, SingularCurve
 from lambda2.ffield import InvariantViolation, Polynomial, embedding
 from lambda2.fforacle import SERIES_PRECISION, _point_powers, branch_degree
@@ -83,6 +85,32 @@ def _as_triple(field, u):
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _square_roots(field):
+    """A square root of each square, keyed by its index, from squaring every
+    element once."""
+    roots = {}
+    for r in field.elements():
+        roots.setdefault((r * r).index, r)
+    return roots
+
+
+@lru_cache(maxsize=None)
+def _extended(curve, k):
+    """The curve over F_{q^k}, its affine points and the field's squares
+    table, built once per (curve, k).  The points take their y from one root
+    table per field, so a further curve over F_{q^2} costs one pass over the
+    x-line and no square root."""
+    ext = curve.base_change(k)
+    roots = _square_roots(ext.field)
+    points = []
+    for x in ext.field.elements():
+        y = roots.get(ext.rhs(x).index)
+        if y is not None:
+            points += [(x, y)] if y.is_zero() else [(x, y), (x, -y)]
+    return ext, points, ext.field.squares_table()
+
+
 def cover_point_count(curve, u, v, k=1):
     """Rational-place count of the cover w^2 = u(x) + v*y over F_{q^k}.
 
@@ -92,16 +120,12 @@ def cover_point_count(curve, u, v, k=1):
     ucoeffs = _as_triple(curve.field, u)
     if isinstance(v, int):
         v = curve.field.element(v)
-    if k == 1:
-        ext, ecoeffs, ev = curve, ucoeffs, v
-    else:
-        ext = curve.base_change(k)
+    ext, points, sqtable = _extended(curve, k)
+    if k != 1:
         lift = embedding(curve.field, ext.field)
-        ecoeffs = tuple(lift(c) for c in ucoeffs)
-        ev = lift(v)
-    return _count_places(
-        ext, ext.affine_points(), ext.field.squares_table(), ecoeffs, ev
-    )
+        ucoeffs = tuple(lift(c) for c in ucoeffs)
+        v = lift(v)
+    return _count_places(ext, points, sqtable, ucoeffs, v)
 
 
 def cover_complementary_trace(curve, u, v):

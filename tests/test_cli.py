@@ -118,49 +118,8 @@ def test_verify_two_way_skips_oracle(tmp_path, capsys):
     )
 
 
-def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
-    # rows swapped in a self-consistent entry: the oracle must run on each
-    # row's own (a, b), not on the inventory class at the same position
-    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[0] == 0
-    cache_file = tmp_path / "q7.v1.json"
-    entry = json.loads(cache_file.read_text())
-    curves = entry["curves"]
-    i = 0
-    j = next(k for k, row in enumerate(curves) if row["lambda"] != curves[i]["lambda"])
-    curves[i], curves[j] = curves[j], curves[i]
-    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
-    cache_file.write_text(json.dumps(entry))
-    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
-    assert code == 0, out
-    lines = out.splitlines()
-    assert lines[-1] == "18 classes, 3 modes, all agree"
-    for row, line in zip(curves, lines):
-        traces = ";".join(str(t) for t in row["lambda"]["kani"])
-        assert line == f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}: ok  [{traces}]"
-
-
-def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
-    # a planted entry that is wrong but self-consistent: the hash matches, so
-    # only routes computed afresh can see that +-2 went missing from a row
-    assert run(capsys, "table", "--q", "25", "--cache-dir", str(tmp_path))[0] == 0
-    cache_file = tmp_path / "q25.v1.json"
-    entry = json.loads(cache_file.read_text())
-    row = next(r for r in entry["curves"] if (r["a"], r["b"]) == ("0,0", "1,0"))
-    for mode in ("formula", "kani"):
-        assert 2 in row["lambda"][mode]
-        row["lambda"][mode] = [t for t in row["lambda"][mode] if abs(t) != 2]
-    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
-    cache_file.write_text(json.dumps(entry))
-    code, out, _ = run(capsys, "verify", "--q", "25", "--cache-dir", str(tmp_path))
-    assert code == 1, out
-    lines = out.splitlines()
-    assert lines[-1] == "56 classes, 1 mismatches"
-    flagged = [line for line in lines if line.endswith("MISMATCH")]
-    assert flagged == [f"a=0,0 b=1,0 a_q={row['a_q']:+d}: MISMATCH"]
-    at = lines.index(flagged[0])
-    assert [line.split()[0] for line in lines[at + 1:at + 5]] == [
-        "cache", "cache", "formula", "kani"
-    ]
+def _cache_file(cache_dir, q):
+    return cache_dir / f"q{q}.v{cli.CACHE_SCHEMA}.json"
 
 
 def _plant(cache_file, edit):
@@ -171,9 +130,72 @@ def _plant(cache_file, edit):
     cache_file.write_text(json.dumps(entry))
 
 
+def _verify_permuted(tmp_path, capsys, permute):
+    """verify's lines on table --q 7's entry with its rows permuted and
+    re-hashed; a warm table on that entry must print other bytes."""
+    code, cold, _ = run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0
+    _plant(_cache_file(tmp_path, 7), permute)
+    code, out, err = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    assert (code, err) == (1, ""), out
+    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[1] != cold
+    lines = out.splitlines()
+    # labels come from the curve, and the first MISMATCH names the first class
+    first = curve_inventory(field_of_order(7))[0]
+    assert lines[0] == f"a={first.a} b={first.b} a_q={first.trace():+d}: MISMATCH"
+    assert [line.split()[0] for line in lines[1:5]] == ["formula", "kani", "oracle", "cache"]
+    return lines
+
+
+def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
+    # two rows swapped in a self-consistent entry: every route runs on the
+    # inventory's classes, and the cached row at each class's position must
+    # be that class's row, so both positions are mismatches
+    def swap(curves):
+        traces = curves[0]["lambda_traces"]
+        j = next(k for k, row in enumerate(curves) if row["lambda_traces"] != traces)
+        curves[0], curves[j] = curves[j], curves[0]
+        return curves
+
+    lines = _verify_permuted(tmp_path, capsys, swap)
+    assert lines[-1] == "18 classes, 2 mismatches"
+    assert sum(line.endswith("MISMATCH") for line in lines) == 2
+
+
+def test_verify_refuses_a_reversed_entry(tmp_path, capsys):
+    lines = _verify_permuted(tmp_path, capsys, lambda curves: curves[::-1])
+    assert lines[-1] == "18 classes, 18 mismatches"
+
+
+def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
+    # a planted entry that is wrong but self-consistent: the hash matches, so
+    # only routes computed afresh can see that +-2 went missing from a row
+    def edit(curves):
+        row = next(r for r in curves if (r["a"], r["b"]) == ("0,0", "1,0"))
+        assert 2 in row["lambda_traces"]
+        row["lambda_traces"] = [t for t in row["lambda_traces"] if abs(t) != 2]
+        return curves
+
+    assert run(capsys, "table", "--q", "25", "--cache-dir", str(tmp_path))[0] == 0
+    _plant(_cache_file(tmp_path, 25), edit)
+    code, out, _ = run(capsys, "verify", "--q", "25", "--cache-dir", str(tmp_path))
+    assert code == 1, out
+    lines = out.splitlines()
+    assert lines[-1] == "56 classes, 1 mismatches"
+    flagged = [line for line in lines if line.endswith("MISMATCH")]
+    a_q = next(E.trace() for E in curve_inventory(field_of_order(25))
+               if (str(E.a), str(E.b)) == ("0,0", "1,0"))
+    assert flagged == [f"a=0,0 b=1,0 a_q={a_q:+d}: MISMATCH"]
+    at = lines.index(flagged[0])
+    assert [line.split()[0] for line in lines[at + 1:at + 4]] == ["formula", "kani", "cache"]
+    assert lines[at + 3].startswith("  cache lambda_traces: [")
+
+
 def test_verify_holds_each_row_and_the_row_set_to_the_inventory(tmp_path, capsys):
     # a self-consistent entry with one row's own columns wrong and one class
-    # dropped: the sets still agree, so only the columns and the row set fail
+    # dropped: the sets still agree, so only the columns and the positions
+    # fail; from the dropped class on, every position holds another class's
+    # row, and the last class has none
     def edit(curves):
         for row in curves:
             if (row["a"], row["b"]) == ("1", "0"):
@@ -181,23 +203,27 @@ def test_verify_holds_each_row_and_the_row_set_to_the_inventory(tmp_path, capsys
         return [row for row in curves if (row["a"], row["b"]) != ("2", "0")]
 
     assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
-    _plant(tmp_path / "q5.v1.json", edit)
+    _plant(_cache_file(tmp_path, 5), edit)
     code, out, _ = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
     assert code == 1, out
     lines = out.splitlines()
-    assert lines[-1] == "11 classes, 2 mismatches"
-    assert lines[-2] == "a=2 b=0: MISSING from the cache"
-    at = lines.index("a=1 b=0 a_q=+4: MISMATCH")
-    assert lines[at + 6:at + 8] == [
+    assert lines[-1] == "12 classes, 8 mismatches"
+    flagged = [line for line in lines if line.endswith("MISMATCH")]
+    # labels come from the curve: the row of (2, 1) sits at (2, 0)'s position
+    assert flagged[:2] == ["a=1 b=0 a_q=+2: MISMATCH", "a=2 b=0 a_q=+4: MISMATCH"]
+    at = lines.index(flagged[0])
+    assert lines[at + 4:at + 7] == [
         "  cache a_q: 4, the curve has 2",
         "  cache two_torsion: 'Trivial', the curve has 'Full'",
+        "a=1 b=1 a_q=-3: ok  [-3;-1;1;3]",
     ]
-    assert sum(line.endswith("MISMATCH") for line in lines) == 1
+    assert lines[-6] == "a=4 b=2 a_q=+3: MISMATCH"
+    assert lines[-2] == "  MISSING from the cache"
 
 
 def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
-    # a correct row listed twice, and (2, 1) = (2^4 * 1, 2^6 * 1) in place of
-    # its class's lex-min model (1, 1): every column and set still agrees
+    # (2, 1) = (2^4 * 1, 2^6 * 1) in place of its class's lex-min model
+    # (1, 1), and a correct row listed once more: every set still agrees
     def edit(curves):
         for row in curves:
             if (row["a"], row["b"]) == ("1", "1"):
@@ -205,44 +231,41 @@ def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
         return curves + [dict(curves[0])]
 
     assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[0] == 0
-    _plant(tmp_path / "q7.v1.json", edit)
+    _plant(_cache_file(tmp_path, 7), edit)
     code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
     assert code == 1, out
     lines = out.splitlines()
-    assert lines[-1] == "19 classes, 3 mismatches"
-    assert lines[-2] == "a=1 b=1: MISSING from the cache"
+    assert lines[-1] == "18 classes, 2 mismatches"
+    assert lines[-2] == "cache row 19: MISMATCH, beyond the inventory's 18 classes"
     flagged = [at for at, line in enumerate(lines) if line.endswith("MISMATCH")]
-    assert [lines[at].split()[:2] for at in flagged] == [["a=2", "b=1"], ["a=0", "b=1"]]
-    for at in flagged:
-        assert lines[at + 6] == "  not a class of the inventory, or listed twice"
+    assert lines[flagged[0]].split()[:2] == ["a=1", "b=1"]
+    assert lines[flagged[0] + 4] == "  cache a: '2', the curve has '1'"
 
 
 @pytest.mark.parametrize(
-    "b, reason",
-    [
-        ("0", "y^2 = x^3 + 0*x + 0 is singular"),
-        ("x", "invalid literal for int() with base 10: 'x'"),
-        ("1,2", "coefficient '1,2' has 2 residues; F_5 takes at most 1"),
-        (2, "coefficient 2 is not text"),
-    ],
-    ids=["singular", "not-a-number", "too-many-residues", "not-text"],
+    "col, value",
+    [("b", "0"), ("b", "x"), ("b", "1,2"), ("b", 2), ("a_q", 0.0)],
+    ids=["singular", "not-a-number", "too-many-residues", "not-text", "a_q-float"],
 )
-def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, b, reason):
-    # row 1 is the class (0, 2); with its b replaced by a singular or
-    # unparseable value, or by a JSON number, that row alone is a mismatch and its class goes
-    # missing, while every other row is still checked
+def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, col, value):
+    # row 1 is the class (0, 2); a cell replaced by a singular or
+    # unparseable value, or by a JSON number of another type, makes that row
+    # alone a mismatch, named by its class and the column, and every other
+    # row is still checked
     def edit(curves):
-        assert (curves[1]["a"], curves[1]["b"]) == ("0", "2")
-        curves[1]["b"] = b
+        assert (curves[1]["a"], curves[1]["b"], curves[1]["a_q"]) == ("0", "2", 0)
+        curves[1][col] = value
         return curves
 
     assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
-    _plant(tmp_path / "q5.v1.json", edit)
+    _plant(_cache_file(tmp_path, 5), edit)
     code, out, err = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
     assert (code, err) == (1, ""), err
     lines = out.splitlines()
-    assert lines[1:3] == [f"a=0 b={b} a_q=+0: MISMATCH", f"  cache (a, b): {reason}"]
-    assert lines[-2:] == ["a=0 b=2: MISSING from the cache", "12 classes, 2 mismatches"]
+    want = 0 if col == "a_q" else "2"
+    assert lines[1] == "a=0 b=2 a_q=+0: MISMATCH"
+    assert lines[5] == f"  cache {col}: {value!r}, the curve has {want!r}"
+    assert lines[-1] == "12 classes, 1 mismatches"
     assert sum(": ok  [" in line for line in lines) == 11
 
 
@@ -252,7 +275,7 @@ def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LAMBDA2_CACHE_DIR", "")
     code, _, err = run(capsys, "table", "--q", "5")
     assert code == 0, err
-    assert (tmp_path / "cache" / "q5.v1.json").exists()
+    assert _cache_file(tmp_path / "cache", 5).exists()
 
 
 @pytest.mark.parametrize(
@@ -483,10 +506,10 @@ def test_cli_loads_only_production_modules(tmp_path):
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
     args = ("table", "--q", "5", "--format", "json", "--cache-dir", str(tmp_path))
     _, first, _ = run(capsys, *args)
-    cache_file = tmp_path / "q5.v1.json"
+    cache_file = _cache_file(tmp_path, 5)
     assert cache_file.exists()
     entry = json.loads(cache_file.read_text())
-    assert entry["schema"] == 1 and entry["q"] == 5 and "hash" in entry
+    assert entry["schema"] == cli.CACHE_SCHEMA and entry["q"] == 5 and "hash" in entry
     _, second, _ = run(capsys, *args)
     assert first == second
 
@@ -494,7 +517,7 @@ def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
 def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
     args = ("table", "--q", "5", "--cache-dir", str(tmp_path))
     _, first, _ = run(capsys, *args)
-    cache_file = tmp_path / "q5.v1.json"
+    cache_file = _cache_file(tmp_path, 5)
     entry = json.loads(cache_file.read_text())
     entry["curves"][0]["a_q"] = 99
     cache_file.write_text(json.dumps(entry))
@@ -507,25 +530,36 @@ def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload", ["[]", '"x"', '{"schema": 1, "q": 5}'], ids=["list", "string", "no-curves"]
+    "damage",
+    [
+        lambda path: path.write_text("[]"),
+        lambda path: path.write_text('"x"'),
+        lambda path: path.write_text(json.dumps({"schema": cli.CACHE_SCHEMA, "q": 5})),
+        lambda path: _plant(
+            path, lambda curves: [{k: v for k, v in curves[0].items() if k != "j"}] + curves[1:]
+        ),
+        lambda path: _plant(path, lambda curves: ["row"] + curves[1:]),
+    ],
+    ids=["list", "string", "no-curves", "row-without-a-key", "row-of-text"],
 )
-def test_cache_entry_of_wrong_shape_is_rebuilt(payload, tmp_path, capsys):
-    # valid JSON that is not a cache entry is damage like any other: table
-    # and verify rebuild it silently and print what a fresh build prints
-    damaged = tmp_path / "damaged"
-    damaged.mkdir()
+def test_cache_entry_of_wrong_shape_is_rebuilt(damage, tmp_path, capsys):
+    # valid JSON that is not a cache entry, or whose rows are not keyed by
+    # table's columns, is damage like any other, even with its hash
+    # recomputed: table and verify rebuild it silently and print what a
+    # fresh build prints
     for command in ("table", "verify"):
-        fresh = run(capsys, command, "--q", "5", "--cache-dir", str(tmp_path / command))
+        cache = tmp_path / command
+        fresh = run(capsys, command, "--q", "5", "--cache-dir", str(cache))
         assert fresh[0] == 0
-        (damaged / "q5.v1.json").write_text(payload)
-        assert run(capsys, command, "--q", "5", "--cache-dir", str(damaged)) == fresh
+        damage(_cache_file(cache, 5))
+        assert run(capsys, command, "--q", "5", "--cache-dir", str(cache)) == fresh
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "table", "--q", "5")
     assert code == 0
-    assert (tmp_path / "envcache" / "q5.v1.json").exists()
+    assert _cache_file(tmp_path / "envcache", 5).exists()
 
 
 def test_argparse_rejects_unknown(capsys):
