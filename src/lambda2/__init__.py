@@ -54,7 +54,6 @@ from .fforacle import (
     ZeroFunction,
     branch_degree,
     cover_census,
-    cover_representatives,
     lambda_oracle,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "admissible_traces",
     "branch_degree",
     "cover_census",
-    "cover_representatives",
     "curve_inventory",
     "embedding",
     "factor",

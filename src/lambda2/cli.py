@@ -15,7 +15,8 @@ content hash; anything stale, damaged or of another shape is silently
 recomputed.  verify walks the inventory, recomputes every route on each
 class, and holds the cached row at the class's position to a fresh build of
 that row, column by column; a class the cached rows do not reach, and a
-cached row beyond the inventory, are mismatches too.  The exhaustive cover
+cached row beyond the inventory, are mismatches too; on any mismatch the
+rows verify built replace the entry.  The exhaustive cover
 oracle, the independent witness, is never cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
@@ -23,7 +24,7 @@ unusable cache directory included.  A q above a command's cap is invalid
 input, refused before any factoring of q:
 INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
 ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle (d = 2) serves prime q up to
-ORACLE_MAX_Q = 19 only; verify skips the oracle beyond it.
+ORACLE_MAX_Q = 37 only; verify skips the oracle beyond it.
 """
 
 from __future__ import annotations
@@ -102,17 +103,38 @@ def _row(curve):
     }
 
 
-def _build_entry(q):
-    curves = [_row(curve) for curve in curve_inventory(field_of_order(q))]
+def _cache_path(q, cache_dir):
+    return os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")
+
+
+def _store_entry(q, curves, cache_dir):
+    """Write q's entry of these rows by one rename, so a reader sees the old
+    file or the new one, never a part, and return it."""
     body = {"schema": CACHE_SCHEMA, "q": q, "curves": curves}
-    return dict(body, hash=_content_hash(body))
+    entry = dict(body, hash=_content_hash(body))
+    # an unusable cache directory is bad input, not a verify mismatch
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(entry))
+                fh.write("\n")
+            os.replace(tmp, _cache_path(q, cache_dir))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write the cache in {cache_dir}: {exc}") from None
+    return entry
 
 
 def _load_or_build_entry(q, cache_dir):
     # refuse before building the field: the inventory is super-linear in q
     if q > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
-    path = os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")
+    path = _cache_path(q, cache_dir)
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
@@ -129,23 +151,8 @@ def _load_or_build_entry(q, cache_dir):
         )
         if current and shaped and entry.get("hash") == _content_hash(body):
             return entry
-    entry = _build_entry(q)
-    # an unusable cache directory is bad input, not a verify mismatch
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(entry))
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise ValueError(f"cannot write the cache in {cache_dir}: {exc}") from None
-    return entry
+    rows = [_row(curve) for curve in curve_inventory(field_of_order(q))]
+    return _store_entry(q, rows, cache_dir)
 
 
 def _parse_coefficient(field, text):
@@ -213,16 +220,19 @@ def cmd_lambda(args):
 
 def cmd_verify(args):
     q = args.q
-    cached = _load_or_build_entry(q, _cache_dir(args))["curves"]
+    cache_dir = _cache_dir(args)
+    cached = _load_or_build_entry(q, cache_dir)["curves"]
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
     inventory = curve_inventory(field)
     failures = 0
+    rows = []
     for at, curve in enumerate(inventory):
         # every route runs afresh on the class; the cached row at its
         # position must be the row a fresh build gives, by repr, so that a
         # cached 1 for true or 2.0 for 2 is a fault too
         row = _row(curve)
+        rows.append(row)
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         sets = {
             "formula": lambda_formula_resolved(curve).traces,
@@ -253,6 +263,9 @@ def cmd_verify(args):
         failures += 1
         print(f"cache row {at + 1}: MISMATCH, beyond the inventory's {n} classes")
     if failures:
+        # the rows just built replace the entry, so no later table serves a
+        # faulty one
+        _store_entry(q, rows, cache_dir)
         print(f"{n} classes, {failures} mismatches")
         return 1
     if use_oracle:

@@ -27,15 +27,31 @@ and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
-The census runs on element indices, with one arithmetic for every field of
-characteristic at least 5: cover_representatives yields indices, and the
-branch test, the place count and the local units at the zeros of g read
-sums, products, negatives and inverses off the field's q x q index tables
-(FiniteField.index_arithmetic).  A prime field's indices are its residues,
-so prime and extension fields share every line.  Field objects appear once
-per point of E, to build its local expansions.  The object place counter,
-which also runs over F_{q^2}, is the test reference in
-tests/object_reference.py; the tests hold the census to it.
+The census tests about 4q^2 functions, not all 2q^3 + 2q^2 + 2q.  Scaling g
+by a square changes nothing, so v is 0, 1 or the canonical nonsquare nu,
+and for v = 0 one u per scaling class is taken, monic up to nu and not
+constant.  For v != 0 only the functions tangent to E at an affine point
+are taken, by a lemma read off branch_degree's case list.  With v != 0 and
+branch degree 2, N = u^2 - v^2*f has exactly one repeated linear factor l
+(N is l^2*m, l^3, l^2*Q or l^3*m, m linear, Q squarefree and prime to l).
+At its root r, f(r) != 0, since a common root of u and f would be a simple
+root of N (N'(r) = -v^2*f'(r) != 0).  So g vanishes at exactly one point
+above r, P = (r, -u(r)/v) with y0 != 0, where x - r is a local parameter and
+u - v*y is a unit; g takes the whole multiplicity of l and vanishes to
+order at least 2 at P and nowhere else.  Conversely g(P) = 0 = dg(P) forces
+u = A + B*(x - x0) + C*(x - x0)^2, A = -v*y0, B = -v*f'(x0)/(2*y0), C free.
+So each genus-2 cover with v != 0 comes from one (P, v, C), and the
+candidates, which still pass branch_degree, give the full scan's histogram,
+multiplicities included.  The full scan is the test reference in
+tests/object_reference.py.
+
+The census runs on element indices, for every field of characteristic at
+least 5: the candidates, the branch test, the place count and the local
+expansions read sums, products, negatives and inverses off the field's
+q x q tables (FiniteField.index_arithmetic); only the point list comes from
+field elements.  A prime field's indices are its residues.  The object
+expansions and place counter, which also run over F_{q^2}, are the
+references in tests/object_reference.py that the tests hold these to.
 
 A second, slower route to the same branch data, which factors the norm and
 reads valuations off local expansions place by place, is the reference in
@@ -56,83 +72,62 @@ from .classify import LambdaSet
 # needed valuation sits strictly below this
 SERIES_PRECISION = 6
 
-# enumeration is cubic in q, so the oracle stops here; the census itself runs
+# the census is about 4q^2 candidates with an O(q) place count each, so the
+# oracle stops here (about 0.05 s a curve at q = 37); the census itself runs
 # on any field, but oracle_serves offers it on prime fields only, and larger
 # and non-prime fields are served by the other two routes
-ORACLE_MAX_Q = 19
+ORACLE_MAX_Q = 37
 
 
 class ZeroFunction(ValueError):
     """Raised for the zero function, which has no divisor."""
 
 
-def _series_mul(a, b, zero):
-    n = len(a)
-    out = [zero] * n
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j in range(n - i):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_sqrt_one(t, field):
-    """Square root of a unit series with constant term 1 (char > 2)."""
-    n = len(t)
-    half = field.element(2).inverse()
-    s = [field.one] + [field.zero] * (n - 1)
-    for k in range(1, n):
-        acc = t[k]
-        for i in range(1, k):
-            acc = acc - s[i] * s[k - i]
-        s[k] = acc * half
-    return s
-
-
-def _point_series(a, b, x0, y0, n):
-    """Series for (x, y) in the local parameter at a point of y^2 = x^3+ax+b.
-
-    The coefficients a, b and the point must live in one field.  At a smooth
-    point the parameter is x - x0 and y = y0*sqrt(f(x)/f(x0)) on the chosen
-    branch; at a 2-torsion point the parameter is y and x - x0 solves
-    f(x0 + s) = y^2 by a fixed-point iteration that gains two orders of
-    precision per pass.
-    """
-    field = x0.field
-    zero, one = field.zero, field.one
-    if not y0.is_zero():
-        xs = [x0, one] + [zero] * (n - 2)
-        x2 = _series_mul(xs, xs, zero)
-        x3 = _series_mul(x2, xs, zero)
-        fs = [x3[i] + a * xs[i] for i in range(n)]
-        fs[0] = fs[0] + b
-        inv = (y0 * y0).inverse()
-        ys = [y0 * c for c in _series_sqrt_one([c * inv for c in fs], field)]
-    else:
-        fp = (field.element(3) * x0 * x0 + a).inverse()
-        three_x0 = field.element(3) * x0
-        s = [zero] * n
-        for _ in range(n // 2 + 1):
-            s2 = _series_mul(s, s, zero)
-            s3 = _series_mul(s2, s, zero)
-            s = [(-three_x0 * s2[i] - s3[i]) * fp for i in range(n)]
-            s[2] = s[2] + fp
-        xs = [x0 + s[0]] + s[1:]
-        ys = [zero, one] + [zero] * (n - 2)
-    return xs, ys
-
-
 def _point_powers(curve, x0, y0):
-    """Expansions (x, x^2, y) in the local parameter at (x0, y0).
+    """Expansions (x, x^2, y) at the point (x0, y0), index lists of length
+    SERIES_PRECISION, built once per point and shared by every cover.
 
-    They depend only on the curve and the point, so the census computes them
-    once per point and reuses them for every cover vanishing there.
+    At a smooth point the parameter is t = x - x0 and y = sum c_k*t^k solves
+    y^2 = f(x0 + t) = y0^2 + f'(x0)*t + 3*x0*t^2 + t^3: c_0 = y0 and
+    2*y0*c_k = f_k - sum_{0<i<k} c_i*c_{k-i}.  At a 2-torsion point the
+    parameter is y, and s = x - x0 is the fixed point of
+    s <- (y^2 - 3*x0*s^2 - s^3) / f'(x0), two orders more per pass.
     """
-    xs, ys = _point_series(curve.a, curve.b, x0, y0, SERIES_PRECISION)
-    return xs, _series_mul(xs, xs, curve.field.zero), ys
+    add, mul, neg, inv = curve.field.index_arithmetic()
+    n = SERIES_PRECISION
+
+    def times(s, t):
+        out = [0] * n
+        for i, si in enumerate(s):
+            if si:
+                row = mul[si]
+                for j in range(n - i):
+                    out[i + j] = add[out[i + j]][row[t[j]]]
+        return out
+
+    df = add[mul[3][mul[x0][x0]]][curve.indices[0]]  # f'(x0)
+    three_x0 = mul[3][x0]
+    if y0:
+        fs = [0, df, three_x0, 1] + [0] * (n - 4)
+        ys = [y0] + [0] * (n - 1)
+        den = inv[mul[2][y0]]
+        for k in range(1, n):
+            acc = fs[k]
+            for i in range(1, k):
+                acc = add[acc][neg[mul[ys[i]][ys[k - i]]]]
+            ys[k] = mul[acc][den]
+        xs = [x0, 1] + [0] * (n - 2)
+    else:
+        fp = inv[df]
+        s = [0] * n
+        for _ in range(n // 2 + 1):
+            s2 = times(s, s)
+            s3 = times(s2, s)
+            s = [neg[mul[add[mul[three_x0][s2[i]]][s3[i]]][fp]] for i in range(n)]
+            s[2] = add[s[2]][fp]
+        xs = [x0] + s[1:]  # s has no constant term
+        ys = [0, 1] + [0] * (n - 2)
+    return xs, times(xs, xs), ys
 
 
 def squarefree_by_discriminant(field, f):
@@ -162,8 +157,8 @@ def branch_degree(curve, u, v):
     """Degree of the branch divisor of w^2 = u(x) + v*y over the curve.
 
     u is a sequence of at most three element indices (u0, u1, u2) and v an
-    index, as cover_representatives yields them; on a prime field these are
-    the residues.  An index outside range(q) raises ValueError, and so does
+    index, as the census's candidates come; on a prime field these are the
+    residues.  An index outside range(q) raises ValueError, and so does
     u of degree above 2; u = v = 0 raises ZeroFunction.  Every case below is
     a closed form on the field's index tables; no polynomial is built.  The
     characteristic is at least 5, so 2, 3 and 4 are their own indices.
@@ -273,9 +268,7 @@ def _count_places(curve, points, squares, ucoeffs, v, powers):
             continue
         at = powers.get((x0, y0))
         if at is None:
-            field = curve.field
-            series = _point_powers(curve, field.from_index(x0), field.from_index(y0))
-            at = powers[x0, y0] = tuple([c.index for c in s] for s in series)
+            at = powers[x0, y0] = _point_powers(curve, x0, y0)
         xs, x2, ys = at
         # the constant term is val = 0
         for w in range(1, SERIES_PRECISION):
@@ -291,30 +284,34 @@ def _count_places(curve, points, squares, ucoeffs, v, powers):
     return total
 
 
-def cover_representatives(field):
-    """Generators of the quadratic extensions, one per square-scaling class.
-
-    Yields index triples (u0, u1, u2) and an index v, residues on a prime
-    field.  Scaling g by a square changes nothing, so v is pinned to 0, 1 or
-    the canonical nonsquare, and for v = 0 the polynomial u is monic up to
-    that same nonsquare.  Constants are skipped (they give the trivial
-    cover).
-    """
-    q = field.order
-    mul = field.index_arithmetic()[1]
+def _candidates(curve, points):
+    """Index triples (u0, u1, u2) and index v of the covers the census tests:
+    the v = 0 representatives and, for v != 0, the functions tangent to E at
+    an affine point with y0 != 0 (see the module docstring)."""
+    field = curve.field
+    add, mul, neg, inv = field.index_arithmetic()
     nu = field.nonsquare().index
     for scale in (1, nu):
         row = mul[scale]
-        for c0 in range(q):
-            yield (row[c0], scale, 0), 0
-        for c0 in range(q):
-            for c1 in range(q):
-                yield (row[c0], row[c1], scale), 0
-    for v in (1, nu):
-        for u0 in range(q):
-            for u1 in range(q):
-                for u2 in range(q):
-                    yield (u0, u1, u2), v
+        for c0 in row:
+            yield (c0, scale, 0), 0
+        for c0 in row:
+            for c1 in row:
+                yield (c0, c1, scale), 0
+    a = curve.indices[0]
+    for x0, y0 in points:
+        if not y0:
+            continue
+        # dy/dx = f'(x0) / (2*y0) at the point
+        slope = mul[add[mul[3][mul[x0][x0]]][a]][inv[mul[2][y0]]]
+        x0x0, minus_2x0 = mul[x0][x0], neg[mul[2][x0]]
+        for v in (1, nu):
+            # u = A + B*(x - x0) + C*(x - x0)^2 with A = -v*y0, B = -v*slope:
+            # u0 = (A - B*x0) + C*x0^2, u1 = B - 2*C*x0 and u2 = C
+            lin = neg[mul[v][slope]]
+            const = neg[add[mul[v][y0]][mul[lin][x0]]]
+            for c in range(field.order):
+                yield (add[const][mul[c][x0x0]], add[lin][mul[c][minus_2x0]], c), v
 
 
 def cover_census(curve):
@@ -325,7 +322,7 @@ def cover_census(curve):
     base = field.order + 1 - curve.trace()
     powers = {}  # index expansions per point, shared by every cover
     counts = {}
-    for ucoeffs, v in cover_representatives(field):
+    for ucoeffs, v in _candidates(curve, points):
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
         ap = base - _count_places(curve, points, squares, ucoeffs, v, powers)

@@ -19,7 +19,8 @@ from lambda2.ffield import (
     roots,
     sqrt,
 )
-from lambda2.fforacle import ZeroFunction, _point_series, _series_mul
+from lambda2.fforacle import ZeroFunction
+from object_reference import _point_series, _series_mul
 
 
 class EllipticFunction:

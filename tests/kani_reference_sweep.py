@@ -14,16 +14,21 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   restriction of a geometric isomorphism) on every ordered pair of classes
   sharing j = 0 or j = 1728, the only pairs where the rule is not settled
   by counting alone;
-* hold the cover census (fforacle.cover_census, on element indices) to
-  classify.lambda_exact on every class of F_25 and on the rigid classes of
-  F_49 (j = 0 with Trivial 2-torsion, j = 1728 with C2), where formula and
-  Kani agree by construction and only actual covers check the gluing rule;
+* hold the tangency census (fforacle.cover_census) to the full scan of
+  every cover (full_scan_census in object_reference.py) on every class of
+  F_25, histogram for histogram;
+* hold the census to classify.lambda_exact on every class of F_25 and on
+  the rigid classes (j = 0 with Trivial 2-torsion, j = 1728 with C2) of
+  F_49, F_121, F_125, F_169 and every prime from 41 to 97, where formula
+  and Kani agree by construction and only actual covers check the gluing
+  rule;
 * run the CLI through cli.main on a temporary cache directory: a cold
   table, a warm table that must print the cold table's bytes, and verify,
   which must exit 0 on the entry table wrote.
 
 Prints one line of counts per field and exits 1 on any mismatch, failed
-mass count, failed lex-min check, failed census check or failed CLI check.
+mass count, failed lex-min check, failed census check (histogram or set) or
+failed CLI check.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -46,6 +51,7 @@ from lambda2.galois2 import (
     module_isomorphisms,
     two_torsion_module,
 )
+from object_reference import full_scan_census
 from test_ecurve import class_representative
 
 
@@ -57,6 +63,12 @@ def sweep_fields(cap):
             continue
         if p > 3:
             yield p, m
+
+
+def census_fields():
+    """(p, m, rigid classes only) for the census against lambda_exact."""
+    yield from ((5, 2, False), (7, 2, True), (11, 2, True), (5, 3, True), (13, 2, True))
+    yield from ((p, 1, True) for p, m in sweep_fields(97) if m == 1 and p >= 41)
 
 
 def mass(p, m):
@@ -92,6 +104,18 @@ def sweep(p, m):
         if got is not want:
             mismatches.append((E1, E2))
     return pairs, glue, mismatches
+
+
+def histogram_failures(p, m):
+    """(classes checked, classes whose census histogram differs from the
+    full scan's)."""
+    curves = curve_inventory(make_field(p, m))
+    failed = 0
+    for E in curves:
+        if cover_census(E) != full_scan_census(E):
+            failed += 1
+            print(f"  histogram mismatch: {E!r}")
+    return len(curves), failed
 
 
 def census_failures(p, m, rigid_only):
@@ -156,14 +180,17 @@ def main():
     print(f"{fields} fields, {bad_mass} failed mass counts")
     print(f"{fields} fields, {bad_lex} failed lex-min checks")
     print(f"{fields} fields, {bad_cli} failed CLI checks (cold table, warm table, verify)")
-    checked = bad_census = 0
-    for p, m, rigid_only in ((5, 2, False), (7, 2, True)):
+    checked, bad_census = histogram_failures(5, 2)
+    print(f"q = 25: census histogram against the full scan on {checked} classes,"
+          f" {bad_census} failed", flush=True)
+    for p, m, rigid_only in census_fields():
         n, failed = census_failures(p, m, rigid_only)
         kind = "rigid classes" if rigid_only else "classes"
-        print(f"q = {p ** m}: census against lambda_exact on {n} {kind}, {failed} failed")
+        print(f"q = {p ** m}: census against lambda_exact on {n} {kind}, {failed} failed",
+              flush=True)
         checked += n
         bad_census += failed
-    print(f"{checked} classes, {bad_census} failed census checks")
+    print(f"{checked} census checks, {bad_census} failed")
     return 1 if bad or bad_mass or bad_lex or bad_census or bad_cli else 0
 
 

@@ -6,14 +6,22 @@ index code to.  pytest does not collect this file.
 * cover_point_count and cover_complementary_trace: the rational places of a
   cover w^2 = u(x) + v*y counted on field elements, over F_q or over F_{q^k}
   through base change, against which test_fforacle holds the census's
-  index place count.
+  index place count;
+* cover_representatives and full_scan_census: every cover w^2 = u(x) + v*y
+  up to square scaling, about 2q^3 of them, and the census over all of them,
+  which test_fforacle holds the tangency census to;
+* _series_mul, _series_sqrt_one, _point_series and point_powers: the local
+  expansions at a point of E on field elements, which test_fforacle holds
+  the census's index expansions to and tests/divisor_route.py lifts to the
+  places above a prime.
 """
 
 from functools import lru_cache
 
 from lambda2.ecurve import INVENTORY_CAP, EllipticCurve, FieldTooLarge, SingularCurve
 from lambda2.ffield import InvariantViolation, Polynomial, embedding
-from lambda2.fforacle import SERIES_PRECISION, _point_powers, branch_degree
+from lambda2.fforacle import SERIES_PRECISION, branch_degree
+from lambda2.fforacle import _count_places as index_count_places
 
 
 class NotGenusTwo(ValueError):
@@ -34,6 +42,115 @@ def enumerate_curves(field):
                 yield EllipticCurve(field, a, b)
             except SingularCurve:
                 pass
+
+
+def _series_mul(a, b, zero):
+    n = len(a)
+    out = [zero] * n
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j in range(n - i):
+            bj = b[j]
+            if not bj.is_zero():
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _series_sqrt_one(t, field):
+    """Square root of a unit series with constant term 1 (char > 2)."""
+    n = len(t)
+    half = field.element(2).inverse()
+    s = [field.one] + [field.zero] * (n - 1)
+    for k in range(1, n):
+        acc = t[k]
+        for i in range(1, k):
+            acc = acc - s[i] * s[k - i]
+        s[k] = acc * half
+    return s
+
+
+def _point_series(a, b, x0, y0, n):
+    """Series for (x, y) in the local parameter at a point of y^2 = x^3+ax+b.
+
+    The coefficients a, b and the point must live in one field.  At a smooth
+    point the parameter is x - x0 and y = y0*sqrt(f(x)/f(x0)) on the chosen
+    branch; at a 2-torsion point the parameter is y and x - x0 solves
+    f(x0 + s) = y^2 by a fixed-point iteration that gains two orders of
+    precision per pass.
+    """
+    field = x0.field
+    zero, one = field.zero, field.one
+    if not y0.is_zero():
+        xs = [x0, one] + [zero] * (n - 2)
+        x2 = _series_mul(xs, xs, zero)
+        x3 = _series_mul(x2, xs, zero)
+        fs = [x3[i] + a * xs[i] for i in range(n)]
+        fs[0] = fs[0] + b
+        inv = (y0 * y0).inverse()
+        ys = [y0 * c for c in _series_sqrt_one([c * inv for c in fs], field)]
+    else:
+        fp = (field.element(3) * x0 * x0 + a).inverse()
+        three_x0 = field.element(3) * x0
+        s = [zero] * n
+        for _ in range(n // 2 + 1):
+            s2 = _series_mul(s, s, zero)
+            s3 = _series_mul(s2, s, zero)
+            s = [(-three_x0 * s2[i] - s3[i]) * fp for i in range(n)]
+            s[2] = s[2] + fp
+        xs = [x0 + s[0]] + s[1:]
+        ys = [zero, one] + [zero] * (n - 2)
+    return xs, ys
+
+
+def point_powers(curve, x0, y0):
+    """Expansions (x, x^2, y) in the local parameter at the point (x0, y0)
+    of field elements, as lists of field elements."""
+    xs, ys = _point_series(curve.a, curve.b, x0, y0, SERIES_PRECISION)
+    return xs, _series_mul(xs, xs, curve.field.zero), ys
+
+
+def cover_representatives(field):
+    """Generators of the quadratic extensions, one per square-scaling class.
+
+    Yields index triples (u0, u1, u2) and an index v, residues on a prime
+    field.  Scaling g by a square changes nothing, so v is pinned to 0, 1 or
+    the canonical nonsquare, and for v = 0 the polynomial u is monic up to
+    that same nonsquare.  Constants are skipped (they give the trivial
+    cover).
+    """
+    q = field.order
+    mul = field.index_arithmetic()[1]
+    nu = field.nonsquare().index
+    for scale in (1, nu):
+        row = mul[scale]
+        for c0 in range(q):
+            yield (row[c0], scale, 0), 0
+        for c0 in range(q):
+            for c1 in range(q):
+                yield (row[c0], row[c1], scale), 0
+    for v in (1, nu):
+        for u0 in range(q):
+            for u1 in range(q):
+                for u2 in range(q):
+                    yield (u0, u1, u2), v
+
+
+def full_scan_census(curve):
+    """Complementary-trace histogram over every cover of
+    cover_representatives, counted with the census's index place count."""
+    field = curve.field
+    points = [(x.index, y.index) for x, y in curve.affine_points()]
+    squares = field.squares_table()
+    base = field.order + 1 - curve.trace()
+    powers = {}
+    counts = {}
+    for ucoeffs, v in cover_representatives(field):
+        if branch_degree(curve, ucoeffs, v) != 2:
+            continue
+        ap = base - index_count_places(curve, points, squares, ucoeffs, v, powers)
+        counts[ap] = counts.get(ap, 0) + 1
+    return counts
 
 
 def _local_unit(ucoeffs, v, powers):
@@ -63,7 +180,7 @@ def _count_places(curve, points, sqtable, ucoeffs, v):
             if sqtable[val.index]:
                 total += 2
         else:
-            w, unit = _local_unit(ucoeffs, v, _point_powers(curve, x0, y0))
+            w, unit = _local_unit(ucoeffs, v, point_powers(curve, x0, y0))
             if w % 2 == 1:
                 total += 1
             elif sqtable[unit.index]:

@@ -26,14 +26,9 @@ from lambda2.classify import (
 )
 from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order
-from lambda2.fforacle import (
-    branch_degree,
-    cover_census,
-    cover_representatives,
-    lambda_oracle,
-)
+from lambda2.fforacle import branch_degree, cover_census, lambda_oracle
 from lambda2.galois2 import all_isos_are_restrictions, rigidity_closed_form
-from object_reference import cover_point_count, enumerate_curves
+from object_reference import cover_point_count, cover_representatives, enumerate_curves
 
 ELAPSED = {}
 
@@ -77,7 +72,7 @@ def test_criterion1_f5_table_golden(tmp_path, capsys):
 # --- criterion 2: route agreement -------------------------------------------
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 def test_criterion2_three_way_agreement(q):
     started = time.time()
     for curve in _curves(q):

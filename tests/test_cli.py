@@ -10,7 +10,13 @@ import pytest
 
 from lambda2 import classify, cli, galois2
 from lambda2.classify import ADMISSIBLE_MAX_Q, admissible_traces, lambda_exact
-from lambda2.ecurve import INVENTORY_CAP, XLINE_MAX_Q, FieldTooLarge, curve_inventory
+from lambda2.ecurve import (
+    INVENTORY_CAP,
+    XLINE_MAX_Q,
+    FieldTooLarge,
+    curve_inventory,
+    make_curve,
+)
 from lambda2.ffield import field_of_order
 
 
@@ -73,6 +79,18 @@ def test_lambda_oracle_mode(capsys):
     assert json.loads(out)["traces"] == [-3, -1, 1, 3]
 
 
+def test_lambda_oracle_mode_above_19(capsys):
+    # the tangency census serves prime q up to ORACLE_MAX_Q = 37
+    code, out, _ = run(
+        capsys, "lambda", "--q", "23", "--a", "1", "--b", "1", "--mode", "oracle"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "oracle"
+    curve = make_curve(23, 1, 1)
+    assert tuple(payload["traces"]) == lambda_exact(curve).traces
+
+
 def test_lambda_extension_field_coefficients(capsys):
     field = field_of_order(25)
     curve = curve_inventory(field)[10]
@@ -132,13 +150,16 @@ def _plant(cache_file, edit):
 
 def _verify_permuted(tmp_path, capsys, permute):
     """verify's lines on table --q 7's entry with its rows permuted and
-    re-hashed; a warm table on that entry must print other bytes."""
+    re-hashed.  A warm table on that entry prints other bytes; verify
+    replaces it with the rows it built, so a warm table after it prints the
+    cold bytes."""
     code, cold, _ = run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
     assert code == 0
     _plant(_cache_file(tmp_path, 7), permute)
+    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[1] != cold
     code, out, err = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
     assert (code, err) == (1, ""), out
-    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[1] != cold
+    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path)) == (0, cold, "")
     lines = out.splitlines()
     # labels come from the curve, and the first MISMATCH names the first class
     first = curve_inventory(field_of_order(7))[0]
@@ -165,6 +186,14 @@ def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
 def test_verify_refuses_a_reversed_entry(tmp_path, capsys):
     lines = _verify_permuted(tmp_path, capsys, lambda curves: curves[::-1])
     assert lines[-1] == "18 classes, 18 mismatches"
+    # the entry verify wrote is the fresh build, so a second verify passes
+    # and leaves it as it is
+    written = _cache_file(tmp_path, 7).stat().st_mtime_ns
+    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
+    assert _cache_file(tmp_path, 7).stat().st_mtime_ns == written
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_verify_recomputes_the_cached_sets(tmp_path, capsys):

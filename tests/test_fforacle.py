@@ -15,9 +15,9 @@ from lambda2.ffield import (
 from lambda2.fforacle import (
     ZeroFunction,
     _count_places,
+    _point_powers,
     branch_degree,
     cover_census,
-    cover_representatives,
     lambda_oracle,
     squarefree_by_discriminant,
 )
@@ -30,7 +30,14 @@ from divisor_route import (
     norm_polynomial,
     places_above,
 )
-from object_reference import NotGenusTwo, cover_complementary_trace, cover_point_count
+from object_reference import (
+    NotGenusTwo,
+    cover_complementary_trace,
+    cover_point_count,
+    cover_representatives,
+    full_scan_census,
+    point_powers,
+)
 
 # same frozen table as test_classify: the enumeration route must land on the
 # identical sets without ever touching isogeny machinery
@@ -433,7 +440,7 @@ def test_trace_and_oracle_guards():
     with pytest.raises(NotGenusTwo):
         cover_complementary_trace(E_F5, _poly(F5, [0, 1]), 0)
     with pytest.raises(FieldTooLarge):
-        lambda_oracle(make_curve(23, 1, 1))
+        lambda_oracle(make_curve(41, 1, 1))
     with pytest.raises(FieldTooLarge):
         lambda_oracle(curve_inventory(field_of_order(25))[0])
     # the branch test and the covers run on element indices over every field:
@@ -523,3 +530,26 @@ def test_index_place_count_matches_the_object_reference_over_f25():
         checked += 1
         zeros += checked % 2 == 0
     assert zeros == 6
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])
+def test_tangency_census_matches_the_full_scan(q):
+    # the census tests the v = 0 representatives and, for v != 0, only the
+    # functions tangent to E at an affine point; the full scan tests all
+    # 2q^3 + 2q^2 + 2q covers, and the histograms must be equal, multiplicities
+    # included, so each genus-2 cover is generated exactly once
+    for curve in curve_inventory(field_of_order(q)):
+        assert cover_census(curve) == full_scan_census(curve), curve
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 25])
+def test_index_expansions_match_the_object_ones(q):
+    # every affine point of every class, the 2-torsion points (parameter y)
+    # among them
+    torsion = 0
+    for curve in curve_inventory(field_of_order(q)):
+        for x0, y0 in curve.affine_points():
+            want = tuple([c.index for c in s] for s in point_powers(curve, x0, y0))
+            assert _point_powers(curve, x0.index, y0.index) == want, (curve, x0, y0)
+            torsion += y0.is_zero()
+    assert torsion > 0
