@@ -52,7 +52,7 @@ from .ecurve import (
     make_curve,
 )
 from .ffield import field_of_order
-from .fforacle import ORACLE_MAX_Q, lambda_oracle, oracle_serves
+from .fforacle import lambda_oracle, oracle_serves
 
 CACHE_SCHEMA = 2
 
@@ -197,8 +197,6 @@ def cmd_lambda(args):
         field, _parse_coefficient(field, args.a), _parse_coefficient(field, args.b)
     )
     if args.d == 2:
-        if args.mode == "oracle" and not oracle_serves(field):
-            raise ValueError(f"oracle mode supports prime q up to {ORACLE_MAX_Q} only")
         lam = _MODE_FUNCTIONS[args.mode](curve)
     else:
         # no cover of degree d > 2 has genus 2, whichever route is asked

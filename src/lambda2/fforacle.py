@@ -18,14 +18,26 @@ built per cover.
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
-square class of the local unit of g (a short power-series expansion at the
-finitely many zeros of g).  The complementary trace is then
+square class of the local unit of g.  The complementary trace is then
 
     a' = q + 1 - #places - trace(E)
 
 and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
+
+At a zero of g only the parity of the valuation and the square class of the
+first nonzero coefficient in a local parameter count.  At (x0, y0) with
+y0 != 0 the parameter is t = x - x0 and only y needs a series (_y_series).
+At a 2-torsion point T = (e, 0) the parameter is y:
+f(x) = (x - e)*(f'(e) + 3e*(x - e) + (x - e)^2) gives x - e =
+y^2/f'(e) + O(y^4), f'(e) != 0.  With u(e) = 0 and u'(e) = u1 + 2*u2*e,
+g = v*y + u'(e)*(x - e) + u2*(x - e)^2 is v*y + (u'(e)/f'(e))*y^2 + O(y^4),
+and u2*y^4/f'(e)^2 + O(y^6) when v = u'(e) = 0.  So v != 0 gives valuation
+1 and one place; v = 0 and u'(e) != 0 valuation 2 and two places or none by
+the square class of u'(e)/f'(e); otherwise u2 != 0, valuation 4, and two
+places or none by the square class of u2 (u = u2*(x - e)^2 then branches
+nowhere, so no census cover reaches this case).
 
 The census tests about 4q^2 functions, not all 2q^3 + 2q^2 + 2q.  Scaling g
 by a square changes nothing, so v is 0, 1 or the canonical nonsquare nu,
@@ -43,15 +55,17 @@ u = A + B*(x - x0) + C*(x - x0)^2, A = -v*y0, B = -v*f'(x0)/(2*y0), C free.
 So each genus-2 cover with v != 0 comes from one (P, v, C), and the
 candidates, which still pass branch_degree, give the full scan's histogram,
 multiplicities included.  The full scan is the test reference in
-tests/object_reference.py.
+tests/object_reference.py.  Every such candidate has N(x0) = N'(x0) = 0, so
+squarefree_by_discriminant never returns True on one: branch_degree
+settles them all by the shape of the repeated norm.
 
 The census runs on element indices, for every field of characteristic at
-least 5: the candidates, the branch test, the place count and the local
-expansions read sums, products, negatives and inverses off the field's
-q x q tables (FiniteField.index_arithmetic); only the point list comes from
-field elements.  A prime field's indices are its residues.  The object
-expansions and place counter, which also run over F_{q^2}, are the
-references in tests/object_reference.py that the tests hold these to.
+least 5: the candidates, the branch test, the place count and y's series
+read sums, products, negatives and inverses off the field's q x q tables
+(FiniteField.index_arithmetic); only the point list comes from field
+elements.  A prime field's indices are its residues.  The object series and
+place counter, which also run over F_{q^2}, are the references in
+tests/object_reference.py that the tests hold these to.
 
 A second, slower route to the same branch data, which factors the norm and
 reads valuations off local expansions place by place, is the reference in
@@ -68,7 +82,8 @@ from .ffield import (
 from .ecurve import FieldTooLarge
 from .classify import LambdaSet
 
-# truncation order for local expansions: g has at most 4 zeros, so every
+# truncation order for y's series at a point with y0 != 0, and the length of
+# the coefficient tuples in _count_places: g has at most 4 zeros, so every
 # needed valuation sits strictly below this
 SERIES_PRECISION = 6
 
@@ -83,51 +98,24 @@ class ZeroFunction(ValueError):
     """Raised for the zero function, which has no divisor."""
 
 
-def _point_powers(curve, x0, y0):
-    """Expansions (x, x^2, y) at the point (x0, y0), index lists of length
-    SERIES_PRECISION, built once per point and shared by every cover.
-
-    At a smooth point the parameter is t = x - x0 and y = sum c_k*t^k solves
-    y^2 = f(x0 + t) = y0^2 + f'(x0)*t + 3*x0*t^2 + t^3: c_0 = y0 and
-    2*y0*c_k = f_k - sum_{0<i<k} c_i*c_{k-i}.  At a 2-torsion point the
-    parameter is y, and s = x - x0 is the fixed point of
-    s <- (y^2 - 3*x0*s^2 - s^3) / f'(x0), two orders more per pass.
+def _y_series(curve, x0, y0):
+    """y = c_0 + c_1*t + ... in t = x - x0 at the point (x0, y0), y0 != 0, as
+    an index list of length SERIES_PRECISION, built once per point and shared
+    by every cover.  It solves y^2 = f(x0 + t) = y0^2 + f'(x0)*t + 3*x0*t^2 +
+    t^3: c_0 = y0 and 2*y0*c_k = f_k - sum_{0<i<k} c_i*c_{k-i}.
     """
     add, mul, neg, inv = curve.field.index_arithmetic()
     n = SERIES_PRECISION
-
-    def times(s, t):
-        out = [0] * n
-        for i, si in enumerate(s):
-            if si:
-                row = mul[si]
-                for j in range(n - i):
-                    out[i + j] = add[out[i + j]][row[t[j]]]
-        return out
-
     df = add[mul[3][mul[x0][x0]]][curve.indices[0]]  # f'(x0)
-    three_x0 = mul[3][x0]
-    if y0:
-        fs = [0, df, three_x0, 1] + [0] * (n - 4)
-        ys = [y0] + [0] * (n - 1)
-        den = inv[mul[2][y0]]
-        for k in range(1, n):
-            acc = fs[k]
-            for i in range(1, k):
-                acc = add[acc][neg[mul[ys[i]][ys[k - i]]]]
-            ys[k] = mul[acc][den]
-        xs = [x0, 1] + [0] * (n - 2)
-    else:
-        fp = inv[df]
-        s = [0] * n
-        for _ in range(n // 2 + 1):
-            s2 = times(s, s)
-            s3 = times(s2, s)
-            s = [neg[mul[add[mul[three_x0][s2[i]]][s3[i]]][fp]] for i in range(n)]
-            s[2] = add[s[2]][fp]
-        xs = [x0] + s[1:]  # s has no constant term
-        ys = [0, 1] + [0] * (n - 2)
-    return xs, times(xs, xs), ys
+    fs = [0, df, mul[3][x0], 1] + [0] * (n - 4)
+    ys = [y0] + [0] * (n - 1)
+    den = inv[mul[2][y0]]
+    for k in range(1, n):
+        acc = fs[k]
+        for i in range(1, k):
+            acc = add[acc][neg[mul[ys[i]][ys[k - i]]]]
+        ys[k] = mul[acc][den]
+    return ys
 
 
 def squarefree_by_discriminant(field, f):
@@ -248,11 +236,12 @@ def branch_degree(curve, u, v):
 def _count_places(curve, points, squares, ucoeffs, v, powers):
     """Rational places of w^2 = u(x) + v*y, on element indices: index points,
     index u and v, and the field's square table.  A point where g is a
-    nonzero square gives 2 places and a nonsquare none.  At a zero of g the
-    valuation and unit are read off the point's expansions (x, x^2, y) as
-    index lists, built once per point and kept in the caller's dict powers,
-    keyed by index point: odd valuation gives 1 place, even 2 or 0 by the
-    unit's square class."""
+    nonzero square gives 2 places and a nonsquare none.  At a zero of g, the
+    first nonzero coefficient in the local parameter gives the valuation
+    (odd: 1 place) and the unit (even: 2 or 0 by its square class).  With
+    y0 != 0 these are u'(x0) + v*c_1, u2 + v*c_2 and v*c_k in t = x - x0,
+    from y's series c_k, built once per point and kept in the caller's dict
+    powers; at a 2-torsion point, the module docstring's closed form."""
     add, mul, _, _ = curve.field.index_arithmetic()
     u0, u1, u2 = ucoeffs
     if v and not u2:
@@ -260,19 +249,28 @@ def _count_places(curve, points, squares, ucoeffs, v, powers):
     else:
         # even order at infinity: the unit there is the leading coefficient
         total = 2 if squares[u2 or u1 or u0] else 0
+    vrow = mul[v]
     for x0, y0 in points:
-        val = add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][mul[v][y0]]
+        val = add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][vrow[y0]]
         if val:
             if squares[val]:
                 total += 2
             continue
-        at = powers.get((x0, y0))
-        if at is None:
-            at = powers[x0, y0] = _point_powers(curve, x0, y0)
-        xs, x2, ys = at
-        # the constant term is val = 0
+        du = add[u1][mul[2][mul[u2][x0]]]  # u'(x0)
+        # g = val + lift + v*(y - y0) in the parameter, val = 0
+        if y0:
+            ys = powers.get((x0, y0))
+            if ys is None:
+                ys = powers[x0, y0] = _y_series(curve, x0, y0)
+            lift = (0, du, u2, 0, 0, 0)
+        else:
+            # y is the parameter; up to a square factor, lift is
+            # (u'(e)/f'(e))*y^2, or (u2/f'(e)^2)*y^4 when u'(e) = 0
+            ys = (0, 1, 0, 0, 0, 0)
+            df = add[mul[3][mul[x0][x0]]][curve.indices[0]]
+            lift = (0, 0, mul[du][df], 0, u2, 0)
         for w in range(1, SERIES_PRECISION):
-            unit = add[add[mul[u1][xs[w]]][mul[u2][x2[w]]]][mul[v][ys[w]]]
+            unit = add[lift[w]][vrow[ys[w]]]
             if unit:
                 break
         else:
@@ -320,7 +318,7 @@ def cover_census(curve):
     points = [(x.index, y.index) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
-    powers = {}  # index expansions per point, shared by every cover
+    powers = {}  # y's series per point with y0 != 0, shared by every cover
     counts = {}
     for ucoeffs, v in _candidates(curve, points):
         if branch_degree(curve, ucoeffs, v) != 2:
@@ -338,8 +336,5 @@ def oracle_serves(field):
 def lambda_oracle(curve):
     """Complementary-trace set computed by exhaustive cover enumeration."""
     if not oracle_serves(curve.field):
-        raise FieldTooLarge(
-            f"cover enumeration is limited to prime fields of order"
-            f" at most {ORACLE_MAX_Q}"
-        )
+        raise FieldTooLarge(f"the oracle serves prime q up to {ORACLE_MAX_Q} only")
     return LambdaSet(curve, 2, sorted(cover_census(curve)), "oracle")

@@ -17,6 +17,11 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
 * hold the tangency census (fforacle.cover_census) to the full scan of
   every cover (full_scan_census in object_reference.py) on every class of
   F_25, histogram for histogram;
+* hold the census's index place count (fforacle._count_places) to the
+  object count (cover_point_count in object_reference.py) on every genus-2
+  cover that vanishes at a rational 2-torsion point, over every class of
+  F_13 and F_25: the full-scan check above calls the same index count on
+  both sides;
 * hold the census to classify.lambda_exact on every class of F_25 and on
   the rigid classes (j = 0 with Trivial 2-torsion, j = 1728 with C2) of
   F_49, F_121, F_125, F_169 and every prime from 41 to 97, where formula
@@ -27,8 +32,8 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   which must exit 0 on the entry table wrote.
 
 Prints one line of counts per field and exits 1 on any mismatch, failed
-mass count, failed lex-min check, failed census check (histogram or set) or
-failed CLI check.
+mass count, failed lex-min check, failed census check (histogram or set),
+failed place count or failed CLI check.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -51,7 +56,7 @@ from lambda2.galois2 import (
     module_isomorphisms,
     two_torsion_module,
 )
-from object_reference import full_scan_census
+from object_reference import full_scan_census, torsion_zero_place_counts
 from test_ecurve import class_representative
 
 
@@ -116,6 +121,20 @@ def histogram_failures(p, m):
             failed += 1
             print(f"  histogram mismatch: {E!r}")
     return len(curves), failed
+
+
+def place_count_failures(fields):
+    """(covers checked, covers whose index place count differs from the
+    object count) over the genus-2 covers vanishing at a 2-torsion point."""
+    checked = failed = 0
+    for p, m in fields:
+        for E in curve_inventory(make_field(p, m)):
+            for u, v, got, want in torsion_zero_place_counts(E):
+                checked += 1
+                if got != want:
+                    failed += 1
+                    print(f"  place count mismatch: {E!r}, u = {u}, v = {v}")
+    return checked, failed
 
 
 def census_failures(p, m, rigid_only):
@@ -183,6 +202,9 @@ def main():
     checked, bad_census = histogram_failures(5, 2)
     print(f"q = 25: census histogram against the full scan on {checked} classes,"
           f" {bad_census} failed", flush=True)
+    counted, bad_count = place_count_failures(((13, 1), (5, 2)))
+    print(f"q = 13 and 25: index place count against the object count on {counted}"
+          f" covers vanishing at a 2-torsion point, {bad_count} failed", flush=True)
     for p, m, rigid_only in census_fields():
         n, failed = census_failures(p, m, rigid_only)
         kind = "rigid classes" if rigid_only else "classes"
@@ -191,7 +213,7 @@ def main():
         checked += n
         bad_census += failed
     print(f"{checked} census checks, {bad_census} failed")
-    return 1 if bad or bad_mass or bad_lex or bad_census or bad_cli else 0
+    return 1 if bad or bad_mass or bad_lex or bad_census or bad_count or bad_cli else 0
 
 
 if __name__ == "__main__":

@@ -6,14 +6,17 @@ index code to.  pytest does not collect this file.
 * cover_point_count and cover_complementary_trace: the rational places of a
   cover w^2 = u(x) + v*y counted on field elements, over F_q or over F_{q^k}
   through base change, against which test_fforacle holds the census's
-  index place count;
+  index place count, and torsion_zero_place_counts, which pairs the two on
+  the covers vanishing at a 2-torsion point, where the census reads a
+  closed form;
 * cover_representatives and full_scan_census: every cover w^2 = u(x) + v*y
   up to square scaling, about 2q^3 of them, and the census over all of them,
   which test_fforacle holds the tangency census to;
 * _series_mul, _series_sqrt_one, _point_series and point_powers: the local
   expansions at a point of E on field elements, which test_fforacle holds
-  the census's index expansions to and tests/divisor_route.py lifts to the
-  places above a prime.
+  the census's index y-series to and tests/divisor_route.py lifts to the
+  places above a prime.  The fixed-point series at a 2-torsion point is
+  only a reference: the census needs no series there.
 """
 
 from functools import lru_cache
@@ -151,6 +154,26 @@ def full_scan_census(curve):
         ap = base - index_count_places(curve, points, squares, ucoeffs, v, powers)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
+
+
+def torsion_zero_place_counts(curve):
+    """(u, v, index count, object count) for each genus-2 cover of
+    cover_representatives that vanishes at a rational 2-torsion point, where
+    the census's index place count reads the closed form of the fforacle
+    docstring and the object count the fixed-point series."""
+    field = curve.field
+    add, mul, _, _ = field.index_arithmetic()
+    points = [(x.index, y.index) for x, y in curve.affine_points()]
+    roots = [x0 for x0, y0 in points if not y0]
+    squares = field.squares_table()
+    for (u0, u1, u2), v in cover_representatives(field):
+        if all(add[u0][mul[e][add[u1][mul[e][u2]]]] for e in roots):
+            continue
+        if branch_degree(curve, (u0, u1, u2), v) != 2:
+            continue
+        got = index_count_places(curve, points, squares, (u0, u1, u2), v, {})
+        elems = [field.from_index(c) for c in (u0, u1, u2)]
+        yield (u0, u1, u2), v, got, cover_point_count(curve, elems, field.from_index(v))
 
 
 def _local_unit(ucoeffs, v, powers):

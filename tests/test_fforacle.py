@@ -15,7 +15,7 @@ from lambda2.ffield import (
 from lambda2.fforacle import (
     ZeroFunction,
     _count_places,
-    _point_powers,
+    _y_series,
     branch_degree,
     cover_census,
     lambda_oracle,
@@ -37,6 +37,7 @@ from object_reference import (
     cover_representatives,
     full_scan_census,
     point_powers,
+    torsion_zero_place_counts,
 )
 
 # same frozen table as test_classify: the enumeration route must land on the
@@ -501,7 +502,7 @@ def test_census_matches_kani_on_the_rigid_classes_of_f25():
 
 def test_index_place_count_matches_the_object_reference_over_f25():
     # seeded covers of F_25 classes, half of them forced through a rational
-    # point so the local expansions run: the census's index count equals the
+    # point so the zero path runs: the census's index count equals the
     # object count, and the a' it gives fits the object count over F_625
     rng = random.Random(0x5EED)
     inventory = curve_inventory(F25)
@@ -544,12 +545,36 @@ def test_tangency_census_matches_the_full_scan(q):
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 25])
 def test_index_expansions_match_the_object_ones(q):
-    # every affine point of every class, the 2-torsion points (parameter y)
-    # among them
-    torsion = 0
+    # y's series at every affine point with y0 != 0 of every class; at the
+    # 2-torsion points the place count reads a closed form instead, held to
+    # the object count in test_index_place_count_at_two_torsion_zeros
     for curve in curve_inventory(field_of_order(q)):
         for x0, y0 in curve.affine_points():
-            want = tuple([c.index for c in s] for s in point_powers(curve, x0, y0))
-            assert _point_powers(curve, x0.index, y0.index) == want, (curve, x0, y0)
-            torsion += y0.is_zero()
-    assert torsion > 0
+            if y0.is_zero():
+                continue
+            want = [c.index for c in point_powers(curve, x0, y0)[2]]
+            assert _y_series(curve, x0.index, y0.index) == want, (curve, x0, y0)
+
+
+def test_index_place_count_at_two_torsion_zeros():
+    # every genus-2 cover vanishing at a rational 2-torsion point (e, 0), over
+    # every class of F_5, F_7 and F_11: the closed form (valuation 1 for
+    # v != 0, else 2 with the unit u'(e)/f'(e)) equals the object count
+    # through the fixed-point series in y.  Valuation 4 with the unit u2
+    # needs u = u2*(x - e)^2, branch degree 0 and never a census cover, so
+    # those u are counted on their own
+    checked = 0
+    for q in (5, 7, 11):
+        field = field_of_order(q)
+        nu = field.nonsquare().index
+        for curve in curve_inventory(field):
+            for u, v, got, want in torsion_zero_place_counts(curve):
+                assert got == want, (curve, u, v)
+                checked += 1
+            points = [(x.index, y.index) for x, y in curve.affine_points()]
+            for e in (x0 for x0, y0 in points if not y0):
+                for c in (1, nu):
+                    u = (c * e * e % q, -2 * c * e % q, c)
+                    got = _count_places(curve, points, field.squares_table(), u, 0, {})
+                    assert got == cover_point_count(curve, u, 0), (curve, u)
+    assert checked == 1152
