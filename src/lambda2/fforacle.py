@@ -8,13 +8,13 @@ exactly when the branch divisor of the quadratic extension has degree 2, a
 condition read off the norm u^2 - v^2*f without ever constructing the
 extension.  For v != 0 the norm has degree 3 or 4, and when its discriminant
 is nonzero it is squarefree: every prime of it branches and the degree
-is 4, so most covers are rejected by one closed form.  For v = 0 the degree
-follows from u and its common roots with the cubic.  The remaining norms,
-repeated cubics and quartics, are settled by their shape: a prime branches
-exactly when its multiplicity is odd, so a repeated quartic branches nowhere
-exactly when it is a constant times a square (branch_degree gives the case
-proof).  Every case is a closed form on element indices; no polynomial is
-built per cover.
+is 4, so most covers of the full scan (but no census candidate, see below)
+are rejected by one closed form.  For v = 0 the degree follows from u and
+its common roots with the cubic.  The remaining norms, repeated cubics and
+quartics, are settled by their shape: a prime branches exactly when its
+multiplicity is odd, so a repeated quartic branches nowhere exactly when it
+is a constant times a square (branch_degree gives the case proof).  Every
+case is a closed form on element indices; no polynomial is built per cover.
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -26,18 +26,23 @@ and the oracle's answer is the set of a' over all covers.  No isogeny
 theory enters: this route double-checks both the closed-form candidates and
 the 2-torsion gluing criterion from first principles.
 
-At a zero of g only the parity of the valuation and the square class of the
-first nonzero coefficient in a local parameter count.  At (x0, y0) with
-y0 != 0 the parameter is t = x - x0 and only y needs a series (_y_series).
-At a 2-torsion point T = (e, 0) the parameter is y:
-f(x) = (x - e)*(f'(e) + 3e*(x - e) + (x - e)^2) gives x - e =
-y^2/f'(e) + O(y^4), f'(e) != 0.  With u(e) = 0 and u'(e) = u1 + 2*u2*e,
-g = v*y + u'(e)*(x - e) + u2*(x - e)^2 is v*y + (u'(e)/f'(e))*y^2 + O(y^4),
-and u2*y^4/f'(e)^2 + O(y^6) when v = u'(e) = 0.  So v != 0 gives valuation
-1 and one place; v = 0 and u'(e) != 0 valuation 2 and two places or none by
-the square class of u'(e)/f'(e); otherwise u2 != 0, valuation 4, and two
-places or none by the square class of u2 (u = u2*(x - e)^2 then branches
-nowhere, so no census cover reaches this case).
+At a zero Q = (x0, y0) of g only the parity of the valuation and the square
+class of the leading coefficient in a local parameter count.  With y0 != 0
+the parameter is t = x - x0, and for v = 0, g = u'(x0)*t + u2*t^2.  For
+v != 0, g*(u - v*y) = N = u^2 - v^2*f, and u - v*y takes the value
+2u(x0) = -2v*y0 != 0 at Q: g has N's order at x0, and its unit the square
+class of 2u(x0)*N_k, N_k the first nonzero of N1 = 2u(x0)*u'(x0) -
+v^2*f'(x0), N2 = u'(x0)^2 + 2u(x0)*u2 - 3v^2*x0, N3 = 2u'(x0)*u2 - v^2 and
+N4 = u2^2 (N is nonzero of degree at most 4, and N(x0) = 0).  At a
+2-torsion point T = (e, 0) the parameter is y: f(x) = (x - e)*(f'(e) +
+3e*(x - e) + (x - e)^2) gives x - e = y^2/f'(e) + O(y^4), f'(e) != 0.  With
+u(e) = 0 and u'(e) = u1 + 2*u2*e, g = v*y + u'(e)*(x - e) + u2*(x - e)^2 is
+v*y + (u'(e)/f'(e))*y^2 + O(y^4), and u2*y^4/f'(e)^2 + O(y^6) when
+v = u'(e) = 0.  So v != 0 gives valuation 1 and one place; v = 0 and
+u'(e) != 0 valuation 2 and two places or none by the square class of
+u'(e)/f'(e); otherwise valuation 4 and the unit u2, as at a double zero
+with y0 != 0 and v = 0 (u = u2*(x - x0)^2 branches nowhere, so no census
+cover has either).
 
 The census tests about 4q^2 functions, not all 2q^3 + 2q^2 + 2q.  Scaling g
 by a square changes nothing, so v is 0, 1 or the canonical nonsquare nu,
@@ -60,12 +65,12 @@ squarefree_by_discriminant never returns True on one: branch_degree
 settles them all by the shape of the repeated norm.
 
 The census runs on element indices, for every field of characteristic at
-least 5: the candidates, the branch test, the place count and y's series
-read sums, products, negatives and inverses off the field's q x q tables
+least 5: the candidates, the branch test and the place count read sums,
+products, negatives and inverses off the field's q x q tables
 (FiniteField.index_arithmetic); only the point list comes from field
-elements.  A prime field's indices are its residues.  The object series and
-place counter, which also run over F_{q^2}, are the references in
-tests/object_reference.py that the tests hold these to.
+elements.  A prime field's indices are its residues.  The object place
+counter, which reads local series and also runs over F_{q^2}, is the
+reference in tests/object_reference.py that the tests hold this one to.
 
 A second, slower route to the same branch data, which factors the norm and
 reads valuations off local expansions place by place, is the reference in
@@ -75,17 +80,10 @@ five curves over F_5 and F_7.  No production route needs it.
 
 from __future__ import annotations
 
-from .ffield import (
-    InvariantViolation,
-    squarefree_decomposition,  # unused here; perfbench/tracer.py patches this name
-)
+# unused here; perfbench/tracer.py patches this name
+from .ffield import squarefree_decomposition
 from .ecurve import FieldTooLarge
 from .classify import LambdaSet
-
-# truncation order for y's series at a point with y0 != 0, and the length of
-# the coefficient tuples in _count_places: g has at most 4 zeros, so every
-# needed valuation sits strictly below this
-SERIES_PRECISION = 6
 
 # the census is about 4q^2 candidates with an O(q) place count each, so the
 # oracle stops here (about 0.05 s a curve at q = 37); the census itself runs
@@ -96,26 +94,6 @@ ORACLE_MAX_Q = 37
 
 class ZeroFunction(ValueError):
     """Raised for the zero function, which has no divisor."""
-
-
-def _y_series(curve, x0, y0):
-    """y = c_0 + c_1*t + ... in t = x - x0 at the point (x0, y0), y0 != 0, as
-    an index list of length SERIES_PRECISION, built once per point and shared
-    by every cover.  It solves y^2 = f(x0 + t) = y0^2 + f'(x0)*t + 3*x0*t^2 +
-    t^3: c_0 = y0 and 2*y0*c_k = f_k - sum_{0<i<k} c_i*c_{k-i}.
-    """
-    add, mul, neg, inv = curve.field.index_arithmetic()
-    n = SERIES_PRECISION
-    df = add[mul[3][mul[x0][x0]]][curve.indices[0]]  # f'(x0)
-    fs = [0, df, mul[3][x0], 1] + [0] * (n - 4)
-    ys = [y0] + [0] * (n - 1)
-    den = inv[mul[2][y0]]
-    for k in range(1, n):
-        acc = fs[k]
-        for i in range(1, k):
-            acc = add[acc][neg[mul[ys[i]][ys[k - i]]]]
-        ys[k] = mul[acc][den]
-    return ys
 
 
 def squarefree_by_discriminant(field, f):
@@ -233,16 +211,15 @@ def branch_degree(curve, u, v):
     return 0 if square else 2
 
 
-def _count_places(curve, points, squares, ucoeffs, v, powers):
-    """Rational places of w^2 = u(x) + v*y, on element indices: index points,
-    index u and v, and the field's square table.  A point where g is a
-    nonzero square gives 2 places and a nonsquare none.  At a zero of g, the
-    first nonzero coefficient in the local parameter gives the valuation
-    (odd: 1 place) and the unit (even: 2 or 0 by its square class).  With
-    y0 != 0 these are u'(x0) + v*c_1, u2 + v*c_2 and v*c_k in t = x - x0,
-    from y's series c_k, built once per point and kept in the caller's dict
-    powers; at a 2-torsion point, the module docstring's closed form."""
-    add, mul, _, _ = curve.field.index_arithmetic()
+def _count_places(curve, points, squares, ucoeffs, v):
+    """Rational places of w^2 = u(x) + v*y for any non-constant (u, v), on
+    element indices: index points, u and v, and the field's square table.
+    A point where g is a nonzero square gives 2 places and a nonsquare none.
+    At a zero of g, the module docstring's closed forms give the valuation
+    (odd: 1 place) and the unit (even: 2 or 0 by its square class).  The
+    zero function raises ZeroFunction."""
+    add, mul, neg, _ = curve.field.index_arithmetic()
+    a = curve.indices[0]
     u0, u1, u2 = ucoeffs
     if v and not u2:
         total = 1  # odd pole order at infinity: a single ramified place
@@ -250,6 +227,7 @@ def _count_places(curve, points, squares, ucoeffs, v, powers):
         # even order at infinity: the unit there is the leading coefficient
         total = 2 if squares[u2 or u1 or u0] else 0
     vrow = mul[v]
+    vv = vrow[v]
     for x0, y0 in points:
         val = add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][vrow[y0]]
         if val:
@@ -257,27 +235,30 @@ def _count_places(curve, points, squares, ucoeffs, v, powers):
                 total += 2
             continue
         du = add[u1][mul[2][mul[u2][x0]]]  # u'(x0)
-        # g = val + lift + v*(y - y0) in the parameter, val = 0
-        if y0:
-            ys = powers.get((x0, y0))
-            if ys is None:
-                ys = powers[x0, y0] = _y_series(curve, x0, y0)
-            lift = (0, du, u2, 0, 0, 0)
+        df = add[mul[3][mul[x0][x0]]][a]  # f'(x0)
+        if v:
+            if not y0:
+                total += 1  # v*y + O(y^2): valuation 1
+                continue
+            two_u = neg[mul[2][vrow[y0]]]  # 2u(x0), the conjugate's value
+            if add[mul[two_u][du]][neg[mul[vv][df]]]:  # N1
+                total += 1
+                continue
+            n2 = add[add[mul[du][du]][mul[two_u][u2]]][neg[mul[vv][mul[3][x0]]]]
+            if not n2 and add[mul[2][mul[du][u2]]][neg[vv]]:  # N3
+                total += 1
+                continue
+            unit = mul[two_u][n2 or mul[u2][u2]]  # 2u(x0)*N2, or *N4
+        elif du:
+            if y0:
+                total += 1  # u'(x0)*t + u2*t^2: valuation 1
+                continue
+            unit = mul[du][df]  # (u'(e)/f'(e))*y^2 up to the square f'(e)^2
+        elif u2:
+            unit = u2  # u2*t^2, or u2*y^4/f'(e)^2 at (e, 0)
         else:
-            # y is the parameter; up to a square factor, lift is
-            # (u'(e)/f'(e))*y^2, or (u2/f'(e)^2)*y^4 when u'(e) = 0
-            ys = (0, 1, 0, 0, 0, 0)
-            df = add[mul[3][mul[x0][x0]]][curve.indices[0]]
-            lift = (0, 0, mul[du][df], 0, u2, 0)
-        for w in range(1, SERIES_PRECISION):
-            unit = add[lift[w]][vrow[ys[w]]]
-            if unit:
-                break
-        else:
-            raise InvariantViolation("zero of unexpected multiplicity")
-        if w % 2 == 1:
-            total += 1
-        elif squares[unit]:
+            raise ZeroFunction("the zero function has no divisor")
+        if squares[unit]:
             total += 2
     return total
 
@@ -318,12 +299,11 @@ def cover_census(curve):
     points = [(x.index, y.index) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
-    powers = {}  # y's series per point with y0 != 0, shared by every cover
     counts = {}
     for ucoeffs, v in _candidates(curve, points):
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        ap = base - _count_places(curve, points, squares, ucoeffs, v, powers)
+        ap = base - _count_places(curve, points, squares, ucoeffs, v)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
 

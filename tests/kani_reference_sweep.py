@@ -19,9 +19,9 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   F_25, histogram for histogram;
 * hold the census's index place count (fforacle._count_places) to the
   object count (cover_point_count in object_reference.py) on every genus-2
-  cover that vanishes at a rational 2-torsion point, over every class of
-  F_13 and F_25: the full-scan check above calls the same index count on
-  both sides;
+  cover that vanishes at an affine point, a rational 2-torsion point or one
+  with y0 != 0, over every class of F_13 and F_25: the full-scan check above
+  calls the same index count on both sides;
 * hold the census to classify.lambda_exact on every class of F_25 and on
   the rigid classes (j = 0 with Trivial 2-torsion, j = 1728 with C2) of
   F_49, F_121, F_125, F_169 and every prime from 41 to 97, where formula
@@ -56,7 +56,7 @@ from lambda2.galois2 import (
     module_isomorphisms,
     two_torsion_module,
 )
-from object_reference import full_scan_census, torsion_zero_place_counts
+from object_reference import full_scan_census, zero_place_counts
 from test_ecurve import class_representative
 
 
@@ -123,13 +123,14 @@ def histogram_failures(p, m):
     return len(curves), failed
 
 
-def place_count_failures(fields):
+def place_count_failures(fields, torsion):
     """(covers checked, covers whose index place count differs from the
-    object count) over the genus-2 covers vanishing at a 2-torsion point."""
+    object count) over the genus-2 covers vanishing at a 2-torsion point
+    (torsion true) or at an affine point with y0 != 0 (torsion false)."""
     checked = failed = 0
     for p, m in fields:
         for E in curve_inventory(make_field(p, m)):
-            for u, v, got, want in torsion_zero_place_counts(E):
+            for u, v, _, got, want in zero_place_counts(E, torsion):
                 checked += 1
                 if got != want:
                     failed += 1
@@ -202,9 +203,12 @@ def main():
     checked, bad_census = histogram_failures(5, 2)
     print(f"q = 25: census histogram against the full scan on {checked} classes,"
           f" {bad_census} failed", flush=True)
-    counted, bad_count = place_count_failures(((13, 1), (5, 2)))
-    print(f"q = 13 and 25: index place count against the object count on {counted}"
-          f" covers vanishing at a 2-torsion point, {bad_count} failed", flush=True)
+    bad_count = 0
+    for torsion, where in ((True, "a 2-torsion point"), (False, "a point with y0 != 0")):
+        counted, failed = place_count_failures(((13, 1), (5, 2)), torsion)
+        print(f"q = 13 and 25: index place count against the object count on {counted}"
+              f" covers vanishing at {where}, {failed} failed", flush=True)
+        bad_count += failed
     for p, m, rigid_only in census_fields():
         n, failed = census_failures(p, m, rigid_only)
         kind = "rigid classes" if rigid_only else "classes"

@@ -5,26 +5,33 @@ index code to.  pytest does not collect this file.
   the orbit walk that test_ecurve holds curve_inventory to;
 * cover_point_count and cover_complementary_trace: the rational places of a
   cover w^2 = u(x) + v*y counted on field elements, over F_q or over F_{q^k}
-  through base change, against which test_fforacle holds the census's
-  index place count, and torsion_zero_place_counts, which pairs the two on
-  the covers vanishing at a 2-torsion point, where the census reads a
-  closed form;
+  through base change, reading the valuation and unit at each zero of g
+  off local series, against which test_fforacle holds the census's index
+  place count and its closed forms; zero_place_counts pairs the two on the
+  genus-2 covers vanishing at a 2-torsion point or at a point with
+  y0 != 0, and local_units reports each such zero's valuation and unit
+  class;
 * cover_representatives and full_scan_census: every cover w^2 = u(x) + v*y
   up to square scaling, about 2q^3 of them, and the census over all of them,
   which test_fforacle holds the tangency census to;
 * _series_mul, _series_sqrt_one, _point_series and point_powers: the local
-  expansions at a point of E on field elements, which test_fforacle holds
-  the census's index y-series to and tests/divisor_route.py lifts to the
-  places above a prime.  The fixed-point series at a 2-torsion point is
-  only a reference: the census needs no series there.
+  expansions at a point of E on field elements, y's series in x - x0 at a
+  point with y0 != 0 and the fixed-point series in y at a 2-torsion point,
+  which the object place count reads and tests/divisor_route.py lifts to
+  the places above a prime.  The census needs no series: only these
+  references build them.
 """
 
 from functools import lru_cache
 
 from lambda2.ecurve import INVENTORY_CAP, EllipticCurve, FieldTooLarge, SingularCurve
 from lambda2.ffield import InvariantViolation, Polynomial, embedding
-from lambda2.fforacle import SERIES_PRECISION, branch_degree
 from lambda2.fforacle import _count_places as index_count_places
+from lambda2.fforacle import branch_degree
+
+# truncation order of the local series: g = u(x) + v*y has at most 4 zeros
+# counted with multiplicity, so every valuation needed sits below it
+SERIES_PRECISION = 6
 
 
 class NotGenusTwo(ValueError):
@@ -106,11 +113,13 @@ def _point_series(a, b, x0, y0, n):
     return xs, ys
 
 
+@lru_cache(maxsize=4096)
 def point_powers(curve, x0, y0):
     """Expansions (x, x^2, y) in the local parameter at the point (x0, y0)
-    of field elements, as lists of field elements."""
+    of field elements, as tuples of field elements, built once per point
+    and shared by every cover through it."""
     xs, ys = _point_series(curve.a, curve.b, x0, y0, SERIES_PRECISION)
-    return xs, _series_mul(xs, xs, curve.field.zero), ys
+    return tuple(xs), tuple(_series_mul(xs, xs, curve.field.zero)), tuple(ys)
 
 
 def cover_representatives(field):
@@ -146,34 +155,54 @@ def full_scan_census(curve):
     points = [(x.index, y.index) for x, y in curve.affine_points()]
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
-    powers = {}
     counts = {}
     for ucoeffs, v in cover_representatives(field):
         if branch_degree(curve, ucoeffs, v) != 2:
             continue
-        ap = base - index_count_places(curve, points, squares, ucoeffs, v, powers)
+        ap = base - index_count_places(curve, points, squares, ucoeffs, v)
         counts[ap] = counts.get(ap, 0) + 1
     return counts
 
 
-def torsion_zero_place_counts(curve):
-    """(u, v, index count, object count) for each genus-2 cover of
-    cover_representatives that vanishes at a rational 2-torsion point, where
-    the census's index place count reads the closed form of the fforacle
-    docstring and the object count the fixed-point series."""
+def zero_place_counts(curve, torsion):
+    """(u, v, zeros, index count, object count) for each genus-2 cover of
+    cover_representatives that vanishes at a rational 2-torsion point
+    (torsion true) or at an affine point with y0 != 0 (torsion false), where
+    the census's index place count reads the closed forms of the fforacle
+    docstring and the object count the local series.  zeros is local_units
+    of the cover at the points of that kind."""
     field = curve.field
     add, mul, _, _ = field.index_arithmetic()
     points = [(x.index, y.index) for x, y in curve.affine_points()]
-    roots = [x0 for x0, y0 in points if not y0]
+    kind = [(x0, y0) for x0, y0 in points if (y0 == 0) == torsion]
     squares = field.squares_table()
     for (u0, u1, u2), v in cover_representatives(field):
-        if all(add[u0][mul[e][add[u1][mul[e][u2]]]] for e in roots):
+        if all(add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][mul[v][y0]] for x0, y0 in kind):
             continue
         if branch_degree(curve, (u0, u1, u2), v) != 2:
             continue
-        got = index_count_places(curve, points, squares, (u0, u1, u2), v, {})
-        elems = [field.from_index(c) for c in (u0, u1, u2)]
-        yield (u0, u1, u2), v, got, cover_point_count(curve, elems, field.from_index(v))
+        u = (u0, u1, u2)
+        got = index_count_places(curve, points, squares, u, v)
+        want = cover_point_count(curve, [field.from_index(c) for c in u], field.from_index(v))
+        yield u, v, local_units(curve, kind, u, v), got, want
+
+
+def local_units(curve, points, ucoeffs, v):
+    """(valuation, whether the unit is a square) of g = u(x) + v*y at each
+    of its zeros among points, index pairs (x0, y0) on the curve, with u and
+    v element indices, read off the object series."""
+    field = curve.field
+    add, mul, _, _ = field.index_arithmetic()
+    u0, u1, u2 = ucoeffs
+    elems = [field.from_index(c) for c in ucoeffs]
+    squares = field.squares_table()
+    out = []
+    for x0, y0 in points:
+        if not add[add[u0][mul[x0][add[u1][mul[x0][u2]]]]][mul[v][y0]]:
+            powers = point_powers(curve, field.from_index(x0), field.from_index(y0))
+            w, unit = _local_unit(elems, field.from_index(v), powers)
+            out.append((w, squares[unit.index]))
+    return out
 
 
 def _local_unit(ucoeffs, v, powers):

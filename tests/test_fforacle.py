@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,13 +16,14 @@ from lambda2.ffield import (
 )
 from lambda2.fforacle import (
     ZeroFunction,
+    _candidates,
     _count_places,
-    _y_series,
     branch_degree,
     cover_census,
     lambda_oracle,
     squarefree_by_discriminant,
 )
+from lambda2.galois2 import geometric_restrictions, module_isomorphisms
 
 from divisor_route import (
     INFINITE_PLACE,
@@ -36,8 +39,8 @@ from object_reference import (
     cover_point_count,
     cover_representatives,
     full_scan_census,
-    point_powers,
-    torsion_zero_place_counts,
+    local_units,
+    zero_place_counts,
 )
 
 # same frozen table as test_classify: the enumeration route must land on the
@@ -456,6 +459,10 @@ def test_trace_and_oracle_guards():
         branch_degree(E_F5, (1, 0, 0, 1), 0)
     with pytest.raises(ZeroFunction):
         branch_degree(E_F5, (0, 0, 0), 0)
+    # the place count refuses it too, at its first zero
+    points = [(x.index, y.index) for x, y in E_F5.affine_points()]
+    with pytest.raises(ZeroFunction):
+        _count_places(E_F5, points, F5.squares_table(), (0, 0, 0), 0)
 
 
 def test_degenerate_constant_covers():
@@ -521,7 +528,7 @@ def test_index_place_count_matches_the_object_reference_over_f25():
             u[0] = neg[add[mul[x0][add[u[1]][mul[x0][u[2]]]]][mul[v][y0]]]
         if not (v or u[1] or u[2]) or branch_degree(curve, u, v) != 2:
             continue
-        got = _count_places(curve, points, F25.squares_table(), u, v, {})
+        got = _count_places(curve, points, F25.squares_table(), u, v)
         elems, ve = [F25.from_index(c) for c in u], F25.from_index(v)
         assert got == cover_point_count(curve, elems, ve), (curve, u, v)
         at = curve.trace()
@@ -543,19 +550,6 @@ def test_tangency_census_matches_the_full_scan(q):
         assert cover_census(curve) == full_scan_census(curve), curve
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13, 25])
-def test_index_expansions_match_the_object_ones(q):
-    # y's series at every affine point with y0 != 0 of every class; at the
-    # 2-torsion points the place count reads a closed form instead, held to
-    # the object count in test_index_place_count_at_two_torsion_zeros
-    for curve in curve_inventory(field_of_order(q)):
-        for x0, y0 in curve.affine_points():
-            if y0.is_zero():
-                continue
-            want = [c.index for c in point_powers(curve, x0, y0)[2]]
-            assert _y_series(curve, x0.index, y0.index) == want, (curve, x0, y0)
-
-
 def test_index_place_count_at_two_torsion_zeros():
     # every genus-2 cover vanishing at a rational 2-torsion point (e, 0), over
     # every class of F_5, F_7 and F_11: the closed form (valuation 1 for
@@ -568,13 +562,93 @@ def test_index_place_count_at_two_torsion_zeros():
         field = field_of_order(q)
         nu = field.nonsquare().index
         for curve in curve_inventory(field):
-            for u, v, got, want in torsion_zero_place_counts(curve):
+            for u, v, _, got, want in zero_place_counts(curve, True):
                 assert got == want, (curve, u, v)
                 checked += 1
             points = [(x.index, y.index) for x, y in curve.affine_points()]
             for e in (x0 for x0, y0 in points if not y0):
                 for c in (1, nu):
                     u = (c * e * e % q, -2 * c * e % q, c)
-                    got = _count_places(curve, points, field.squares_table(), u, 0, {})
+                    got = _count_places(curve, points, field.squares_table(), u, 0)
                     assert got == cover_point_count(curve, u, 0), (curve, u)
     assert checked == 1152
+
+
+def test_index_place_count_at_smooth_zeros():
+    # every genus-2 cover vanishing at an affine point (x0, y0) with y0 != 0,
+    # over every class of F_5, F_7 and F_11: the closed forms (u'(x0) and u2
+    # for v = 0, the norm's Taylor coefficients at x0 for v != 0) equal the
+    # object count through y's series in x - x0.  Every kind of zero a
+    # genus-2 cover has occurs, tallied as (valuation, v != 0, square unit)
+    tally = Counter()
+    checked = 0
+    for q in (5, 7, 11):
+        for curve in curve_inventory(field_of_order(q)):
+            for u, v, zeros, got, want in zero_place_counts(curve, False):
+                assert got == want, (curve, u, v)
+                checked += 1
+                for w, square in zeros:
+                    tally[w, bool(v), square if w % 2 == 0 else None] += 1
+    assert checked == 6988
+    assert tally == {
+        (1, False, None): 1352,
+        (1, True, None): 5192,
+        (2, True, True): 2812,
+        (2, True, False): 2812,
+        (3, True, None): 688,
+    }
+
+
+def test_index_place_count_on_every_tangent_function():
+    # the functions tangent to E at an affine point (x0, y0) with y0 != 0,
+    # whatever their branch degree: for v != 0 every candidate the census
+    # draws, and for v = 0 the squares c*(x - x0)^2.  Besides the zeros of
+    # genus-2 covers they reach a double zero with v = 0 and a 4-fold zero,
+    # g with divisor 4P - 4*infinity at a point P of order 4, where N4 is the
+    # first nonzero coefficient; tallied as (valuation, v != 0, branch degree)
+    orders = Counter()
+    for q in (5, 7):
+        field = field_of_order(q)
+        nu = field.nonsquare().index
+        squares = field.squares_table()
+        for curve in curve_inventory(field):
+            points = [(x.index, y.index) for x, y in curve.affine_points()]
+            smooth = [(x0, y0) for x0, y0 in points if y0]
+            covers = [(u, v) for u, v in _candidates(curve, points) if v]
+            for x0 in {x0 for x0, _ in smooth}:
+                covers += [((c * x0 * x0 % q, -2 * c * x0 % q, c), 0) for c in (1, nu)]
+            for u, v in covers:
+                got = _count_places(curve, points, squares, u, v)
+                assert got == cover_point_count(curve, u, v), (curve, u, v)
+                degree = branch_degree(curve, u, v)
+                for w, _ in local_units(curve, smooth, u, v):
+                    orders[w, bool(v), degree] += 1
+    assert orders == {
+        (1, True, 2): 1408,
+        (2, True, 2): 1512,
+        (3, True, 2): 280,
+        (2, True, 0): 384,
+        (2, False, 0): 316,
+        (4, True, 0): 36,
+    }
+
+
+def test_census_multiplicities_follow_kanis_count():
+    # census(E)[a'] = 2*#E(F_q) * sum over the classes E' of trace a' of
+    # n(E, E')/|Aut E'|, n(E, E') the Frobenius-equivariant isomorphisms of
+    # the 2-torsion modules that no geometric isomorphism restricts to (a
+    # set difference: the restrictions need not be equivariant).  Every
+    # class of F_5 to F_13; neither the place count nor the full scan enters
+    # the right-hand side
+    for q in (5, 7, 11, 13):
+        inventory = curve_inventory(field_of_order(q))
+        for curve in inventory:
+            want = {}
+            for other in inventory:
+                isos = set(module_isomorphisms(curve, other))
+                n = len(isos - set(geometric_restrictions(curve, other))) if isos else 0
+                if n:
+                    ap = other.trace()
+                    weight = Fraction(2 * curve.point_count() * n, other.automorphism_count())
+                    want[ap] = want.get(ap, 0) + weight
+            assert cover_census(curve) == want, curve
