@@ -16,8 +16,8 @@ isomorphism of the 2-torsion modules is NOT the restriction of a geometric
 isomorphism (gluing along a restriction degenerates).  The gluing runs along
 an anti-isometry for the Weil pairing, which on 2-torsion is -1 on every pair
 of distinct nonzero points, so every group isomorphism qualifies.  The test
-is a closed form, rigidity_closed_form, read off the 2-torsion structure and
-j alone.  The proof is a count:
+is a closed form read off the 2-torsion structure and j alone.  The proof is
+a count:
 
 * different structures: no equivariant isomorphism exists, so no gluing;
 * same structure, different j: no geometric isomorphism exists, so every
@@ -47,7 +47,15 @@ C2 or Trivial structure:
   glues.
 
 The root-level module test in galois2 is the reference that the tests and
-the CI sweep tests/kani_reference_sweep.py hold the rule to.
+the CI sweep tests/kani_reference_sweep.py hold the rule to.  With n(E, E')
+the size of the set difference of its module_isomorphisms and
+geometric_restrictions, kani_admissible is n > 0, and Kani's count gives
+the oracle's census histogram of each class E:
+
+    census(E)[a'] = 2*#E(F_q) * sum over classes E' of trace a' of n(E, E')/|Aut E'|
+
+Tier-1 holds it on all 84 classes of F_5 to F_13, and a one-off check held
+it on 664 classes up to F_49; the code does not prove it.
 
 A sorted LambdaSet ties results to the base curve and validates the standing
 invariants (admissibility, parity with the base trace, negation symmetry) on
@@ -208,7 +216,7 @@ def _classes_by_trace(field):
 def _rigid(curve):
     """Whether the base curve is j = 0 with Trivial 2-torsion, or j = 1728
     with C2: the rigid combinations.  lambda_formula flags their candidates,
-    and rigidity_closed_form settles same-j pairs by them.
+    and kani_admissible settles same-j pairs by them.
 
     Decided in O(log q), without the x-line.  For b = 0 the cubic x*(x^2 + a)
     has two more roots exactly when -a is a square.  For a = 0 the roots of
@@ -223,28 +231,19 @@ def _rigid(curve):
     return False
 
 
-def rigidity_closed_form(curve1, curve2):
-    """Whether every equivariant 2-torsion module isomorphism of the curves
-    is the restriction of a geometric isomorphism: vacuously for different
-    structures; for the same structure and j, exactly when the curves are
-    rigid and, at j = 0 (so q = 1 mod 3), b'/b is a cube."""
+def kani_admissible(curve1, curve2):
+    """Whether the curves glue along 2-torsion into a genus-2 double cover,
+    by the module docstring's count: the same structure, and different j or
+    not rigid or, at j = 0, b'/b not a cube.  No root, module or extension
+    field is built."""
     if curve1.two_torsion_structure() != curve2.two_torsion_structure():
-        return True
-    if curve1.j_invariant() != curve2.j_invariant():
         return False
+    if curve1.j_invariant() != curve2.j_invariant():
+        return True
     field = curve1.field
-    return _rigid(curve1) and (
+    return not _rigid(curve1) or not (
         curve1.b.is_zero() or (curve2.b / curve1.b) ** ((field.order - 1) // 3) == field.one
     )
-
-
-def kani_admissible(curve1, curve2):
-    """Whether the curves glue along 2-torsion into a genus-2 double cover.
-
-    Reads only the 2-torsion structures, j and the cube class of b'/b: no
-    root, module or extension field is built.
-    """
-    return not rigidity_closed_form(curve1, curve2)
 
 
 def lambda_formula(curve):
@@ -253,10 +252,9 @@ def lambda_formula(curve):
     The candidates are the admissible traces t whose isogeny class holds the
     base curve's 2-torsion structure, by two_torsion_profile_by_trace(q, t).
 
-    Every candidate is flagged for exact resolution when the base curve sits
-    in a rigid combination: j = 0 with Trivial structure, or j = 1728 with C2
-    (geometric isomorphisms can then absorb all module isomorphisms, killing
-    otherwise-valid candidates; which ones die depends on the curve).
+    Every candidate is flagged for exact resolution when the base curve is
+    rigid (_rigid): geometric isomorphisms can then absorb all module
+    isomorphisms, and which candidates die depends on the curve.
     """
     q = curve.field.order
     structure = curve.two_torsion_structure()

@@ -11,8 +11,8 @@ prime field, sums on the field's log/Zech tables over an extension field),
 counts the roots of the cubic and looks every nonzero v up in the field's
 square table, so #E(F_q) = 1 + #roots + 2*#{x : v a nonzero square}.
 point_count() and two_torsion_structure() read that pass; traces over
-F_{q^k} follow by the Frobenius recursion.  affine_points stays on field
-elements; the tests hold the counts to it.
+F_{q^k} follow by the Frobenius recursion.  No command reads affine_points,
+on field elements: the tests hold the counts and the census's points to it.
 
 The isomorphism-class inventory is deterministic and walks no orbit: each
 class is represented by its lexicographically smallest model by (a.index,

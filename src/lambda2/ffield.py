@@ -2,19 +2,22 @@
 
 A field of order p**m is built as F_p[t] / (modulus) where the modulus is the
 lexicographically smallest monic irreducible of degree m, coefficients compared
-as the tuple (c_{m-1}, ..., c_0); each candidate is tested by distinct-degree
-factorization over F_p.  The same (p, m) always reconstructs the same field,
-elements, and factorizations, on any machine.
+as the tuple (c_{m-1}, ..., c_0).  Each candidate c takes Rabin's test on
+FieldElement powers in the ring R = F_p[t] / (c): t**(p**m) = t makes R a
+product of fields F_{p^d} with d | m, where the power p**m - 1 is 1 exactly
+on units, so (t**(p**(m/r)) - t)**(p**m - 1) = 1 for each prime r | m leaves
+d = m alone.  The same (p, m) always reconstructs the same field, elements,
+and factorizations, on any machine.
 
 Elements are immutable little-endian residue vectors; products reduce modulo
 the modulus on plain ints, and every power of a prime-field element is the
 builtin pow(c, n, p).  The inverse is the Fermat power x**(q-2), so inverse,
 is_square (Euler's criterion) and sqrt (Tonelli-Shanks) each have one code
 path.  Polynomial, with FieldElement coefficients, is the only polynomial
-type.  Factorization is squarefree decomposition, then distinct-degree
-splitting, then equal-degree splitting driven by a fixed-seed pseudorandom
-sequence (seed 0x5EED), with the factor list sorted, so it is fully
-deterministic as well.
+type and serves factor, embedding and the test references, not field
+construction.  factor runs squarefree decomposition, distinct-degree and
+then equal-degree splitting on a fixed-seed sequence (seed 0x5EED), and
+sorts the factors, so it is deterministic as well.
 
 Each field builds its lookup tables on first use, all indexed by element
 index.  log_tables() holds int arrays exp, log and Zech log(1 + g**k) for
@@ -474,17 +477,14 @@ def _make_field(p, m):
         raise ValueError(f"field size {p}^{m} exceeds the cap 2^63")
     if m == 1:
         return FiniteField(p, 1, (0, 1))
-    base = _make_field(p, 1)
-    for idx in range(p**m):
-        low = []
-        k = idx
-        for _ in range(m):
-            low.append(k % p)
-            k //= p
-        cand = Polynomial(base, low + [1])
-        # irreducible exactly when no factor of degree at most m/2 splits off
-        if _distinct_degree(cand) == [(cand, m)]:
-            return FiniteField(p, m, tuple(low + [1]))
+    q, primes = p**m, [r for r in range(2, m + 1) if m % r == 0 and _is_prime(r)]
+    for idx in range(q):
+        ring = FiniteField(p, m, tuple(idx // p**k % p for k in range(m)) + (1,))
+        t = ring.gen  # Rabin's test in the ring of the candidate modulus
+        if t.frobenius(m) == t and all(
+            (t.frobenius(m // r) - t) ** (q - 1) == ring.one for r in primes
+        ):
+            return ring
     raise InvariantViolation(f"no monic irreducible of degree {m} over F_{p}")
 
 

@@ -13,8 +13,7 @@ are rejected by one closed form.  For v = 0 the degree follows from u and
 its common roots with the cubic.  The remaining norms, repeated cubics and
 quartics, are settled by their shape: a prime branches exactly when its
 multiplicity is odd, so a repeated quartic branches nowhere exactly when it
-is a constant times a square (branch_degree gives the case proof).  Every
-case is a closed form on element indices; no polynomial is built per cover.
+is a constant times a square (branch_degree gives the case proof).
 
 For survivors, the degree-1 places of the extension are counted directly:
 each rational point of E contributes 2, 1 or 0 places according to the
@@ -59,23 +58,17 @@ order at least 2 at P and nowhere else.  Conversely g(P) = 0 = dg(P) forces
 u = A + B*(x - x0) + C*(x - x0)^2, A = -v*y0, B = -v*f'(x0)/(2*y0), C free.
 So each genus-2 cover with v != 0 comes from one (P, v, C), and the
 candidates, which still pass branch_degree, give the full scan's histogram,
-multiplicities included.  The full scan is the test reference in
-tests/object_reference.py.  Every such candidate has N(x0) = N'(x0) = 0, so
+multiplicities included.  Every such candidate has N(x0) = N'(x0) = 0, so
 squarefree_by_discriminant never returns True on one: branch_degree
 settles them all by the shape of the repeated norm.
 
-The census runs on element indices, for every field of characteristic at
-least 5: the candidates, the branch test and the place count read sums,
-products, negatives and inverses off the field's q x q tables
-(FiniteField.index_arithmetic); only the point list comes from field
-elements.  A prime field's indices are its residues.  The object place
-counter, which reads local series and also runs over F_{q^2}, is the
-reference in tests/object_reference.py that the tests hold this one to.
-
-A second, slower route to the same branch data, which factors the norm and
-reads valuations off local expansions place by place, is the reference in
-tests/divisor_route.py; the tests hold branch_degree to it on every cover of
-five curves over F_5 and F_7.  No production route needs it.
+The census runs on element indices for every field of characteristic at
+least 5, the point list included: sums, products, negatives and inverses
+come off the field's q x q tables (FiniteField.index_arithmetic), and a
+prime field's indices are its residues.  The tests hold it to references on
+field elements: the full scan, the object place counter on local series and
+affine_points in tests/object_reference.py, and a slower route to the branch
+data, factoring the norm place by place, in tests/divisor_route.py.
 """
 
 from __future__ import annotations
@@ -85,10 +78,9 @@ from .ffield import squarefree_decomposition
 from .ecurve import FieldTooLarge
 from .classify import LambdaSet
 
-# the census is about 4q^2 candidates with an O(q) place count each, so the
-# oracle stops here (about 0.05 s a curve at q = 37); the census itself runs
-# on any field, but oracle_serves offers it on prime fields only, and larger
-# and non-prime fields are served by the other two routes
+# the census tests about 4q^2 candidates with an O(q) place count each, about
+# 0.05 s a curve at q = 37; it runs on any field, but oracle_serves offers it
+# on prime fields up to here only, and the other two routes serve the rest
 ORACLE_MAX_Q = 37
 
 
@@ -269,7 +261,7 @@ def _candidates(curve, points):
     an affine point with y0 != 0 (see the module docstring)."""
     field = curve.field
     add, mul, neg, inv = field.index_arithmetic()
-    nu = field.nonsquare().index
+    nu = field.squares_table().index(0)  # the canonical nonsquare
     for scale in (1, nu):
         row = mul[scale]
         for c0 in row:
@@ -293,10 +285,23 @@ def _candidates(curve, points):
                 yield (add[const][mul[c][x0x0]], add[lin][mul[c][minus_2x0]], c), v
 
 
+def _points(curve):
+    """The affine points as index pairs, sorted as affine_points sorts them:
+    by x, then by y, with the roots of each square read off mul's diagonal."""
+    add, mul = curve.field.index_arithmetic()[:2]
+    a, b = curve.indices
+    roots = {}
+    for y, row in enumerate(mul):
+        roots.setdefault(row[y], []).append(y)
+    # f(x) = x*(x^2 + a) + b
+    fx = (add[row[add[row[x]][a]]][b] for x, row in enumerate(mul))
+    return [(x, y) for x, v in enumerate(fx) for y in roots.get(v, ())]
+
+
 def cover_census(curve):
     """Complementary-trace histogram over all genus-2 double covers."""
     field = curve.field
-    points = [(x.index, y.index) for x, y in curve.affine_points()]
+    points = _points(curve)
     squares = field.squares_table()
     base = field.order + 1 - curve.trace()
     counts = {}

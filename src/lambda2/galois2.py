@@ -6,9 +6,8 @@ inside their splitting field.  two_torsion_module finds the roots and the
 Frobenius by factoring, module_isomorphisms lists the equivariant root
 bijections, geometric_restrictions those induced by geometric isomorphisms,
 and all_isos_are_restrictions compares the two.  The tests and the CI sweep
-tests/kani_reference_sweep.py hold the rule in classify to it.  No
-production route imports this module; rigidity_closed_form is re-exported
-so the rule and its reference import together.
+tests/kani_reference_sweep.py hold classify.kani_admissible to it.  No
+production route imports this module, and it imports nothing from classify.
 
 Permutations are tuples t of length 3 with t[i] = j meaning "root i of the
 first curve maps to root j of the second", with roots in canonical order.
@@ -28,7 +27,6 @@ from .ffield import (
     make_field,
     roots,
 )
-from .classify import rigidity_closed_form
 
 _STRUCTURE_BY_DEGREES = {(1, 1, 1): "Full", (1, 2): "C2", (3,): "Trivial"}
 
@@ -169,9 +167,8 @@ def all_isos_are_restrictions(curve1, curve2):
     Vacuously true when no equivariant isomorphism exists at all.  For curves
     sharing a j-invariant and a 2-torsion structure this happens exactly in
     the two rigid cases: j = 0 with Trivial structure and b'/b a cube, and
-    j = 1728 with C2.  The reference: tests hold rigidity_closed_form, and
-    through it kani_admissible and the exception flags of lambda_formula, to
-    this subset test.
+    j = 1728 with C2.  The tests hold not kani_admissible, and through it
+    lambda_formula's exception flags, to this subset test.
     """
     restricted = set(geometric_restrictions(curve1, curve2))
     return all(tau in restricted for tau in module_isomorphisms(curve1, curve2))

@@ -29,11 +29,18 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   rule;
 * run the CLI through cli.main on a temporary cache directory: a cold
   table, a warm table that must print the cold table's bytes, and verify,
-  which must exit 0 on the entry table wrote.
+  which must exit 0 on the entry table wrote;
+* hold make_field's modulus (Rabin's test) to the lex-first distinct-degree
+  search (distinct_degree_modulus in object_reference.py) on every field
+  the sweep builds, the extensions of degree 2, 3 and 6 that galois2's
+  modules and scalings live in included, and on the 53 fields with p in
+  {5, 7, 11, 13, 31, 101, 1009}, 2 <= m <= 9 and p^m below 2^63;
+* hold the census's index point list (fforacle._points) to the object
+  list of affine_points on every class of F_121, F_125 and F_169.
 
 Prints one line of counts per field and exits 1 on any mismatch, failed
 mass count, failed lex-min check, failed census check (histogram or set),
-failed place count or failed CLI check.
+failed place count, failed CLI check, failed modulus or failed point list.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -49,14 +56,14 @@ import tempfile
 from lambda2 import cli
 from lambda2.classify import _rigid, kani_admissible, lambda_exact
 from lambda2.ecurve import INVENTORY_CAP, curve_inventory
-from lambda2.ffield import make_field, prime_power
-from lambda2.fforacle import cover_census
+from lambda2.ffield import FIELD_SIZE_CAP, _make_field, make_field, prime_power
+from lambda2.fforacle import _points, cover_census
 from lambda2.galois2 import (
     geometric_restrictions,
     module_isomorphisms,
     two_torsion_module,
 )
-from object_reference import full_scan_census, zero_place_counts
+from object_reference import distinct_degree_modulus, full_scan_census, zero_place_counts
 from test_ecurve import class_representative
 
 
@@ -151,6 +158,41 @@ def census_failures(p, m, rigid_only):
     return len(curves), failed
 
 
+def modulus_fields():
+    """The sweep's fields with their extensions of degree 2, 3 and 6, and
+    the 53 fields of the modulus check, as sorted (p, m)."""
+    fields = {
+        (p, m * k) for p, m in sweep_fields(INVENTORY_CAP) for k in (1, 2, 3, 6)
+    }
+    fields |= {(p, m) for p in (5, 7, 11, 13, 31, 101, 1009) for m in range(2, 10)}
+    return sorted((p, m) for p, m in fields if p**m < FIELD_SIZE_CAP)
+
+
+def modulus_failures(fields):
+    """Fields whose modulus, searched afresh past make_field's cache,
+    differs from the distinct-degree search's."""
+    failed = []
+    for p, m in fields:
+        want = distinct_degree_modulus(p, m)
+        if _make_field.__wrapped__(p, m).modulus_coeffs != want:
+            failed.append((p, m))
+            print(f"  modulus mismatch: p = {p}, m = {m}")
+    return failed
+
+
+def point_list_failures(fields):
+    """(classes checked, classes whose index point list differs from the
+    index pairs of affine_points)."""
+    checked = failed = 0
+    for p, m in fields:
+        for E in curve_inventory(make_field(p, m)):
+            checked += 1
+            if _points(E) != [(x.index, y.index) for x, y in E.affine_points()]:
+                failed += 1
+                print(f"  point list mismatch: {E!r}")
+    return checked, failed
+
+
 def cli_failures(q):
     """Failed CLI checks at q: cold table exit, warm table bytes, verify exit."""
 
@@ -217,7 +259,15 @@ def main():
         checked += n
         bad_census += failed
     print(f"{checked} census checks, {bad_census} failed")
-    return 1 if bad or bad_mass or bad_lex or bad_census or bad_count or bad_cli else 0
+    fields = modulus_fields()
+    bad_moduli = modulus_failures(fields)
+    print(f"{len(fields)} fields: modulus against the distinct-degree search,"
+          f" {len(bad_moduli)} failed", flush=True)
+    classes, bad_points = point_list_failures(((11, 2), (5, 3), (13, 2)))
+    print(f"q = 121, 125 and 169: index point list against affine_points on {classes}"
+          f" classes, {bad_points} failed", flush=True)
+    failures = (bad, bad_mass, bad_lex, bad_census, bad_count, bad_cli)
+    return 1 if any(failures) or bad_moduli or bad_points else 0
 
 
 if __name__ == "__main__":

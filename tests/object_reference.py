@@ -1,6 +1,9 @@
 """Object references on FieldElement arithmetic, which the tests hold the
 index code to.  pytest does not collect this file.
 
+* distinct_degree_modulus: the lex-first monic irreducible of degree m over
+  F_p found by distinct-degree factorization of each candidate, against
+  which test_ffield and the CI sweep hold make_field's Rabin test;
 * enumerate_curves: every nonsingular (a, b) model of a field, the input of
   the orbit walk that test_ecurve holds curve_inventory to;
 * cover_point_count and cover_complementary_trace: the rational places of a
@@ -25,7 +28,13 @@ index code to.  pytest does not collect this file.
 from functools import lru_cache
 
 from lambda2.ecurve import INVENTORY_CAP, EllipticCurve, FieldTooLarge, SingularCurve
-from lambda2.ffield import InvariantViolation, Polynomial, embedding
+from lambda2.ffield import (
+    InvariantViolation,
+    Polynomial,
+    _distinct_degree,
+    embedding,
+    make_field,
+)
 from lambda2.fforacle import _count_places as index_count_places
 from lambda2.fforacle import branch_degree
 
@@ -40,6 +49,25 @@ class NotGenusTwo(ValueError):
 
 class ZetaInconsistent(RuntimeError):
     """Point counts contradicting the Weil polynomial; a bug if ever seen."""
+
+
+def distinct_degree_modulus(p, m):
+    """Little-endian coefficients of the lex-first monic irreducible of
+    degree m over F_p, candidates compared as (c_{m-1}, ..., c_0)."""
+    if m == 1:
+        return (0, 1)
+    base = make_field(p)
+    for idx in range(p**m):
+        low = []
+        k = idx
+        for _ in range(m):
+            low.append(k % p)
+            k //= p
+        cand = Polynomial(base, low + [1])
+        # irreducible exactly when no factor of degree at most m/2 splits off
+        if _distinct_degree(cand) == [(cand, m)]:
+            return tuple(low + [1])
+    raise InvariantViolation(f"no monic irreducible of degree {m} over F_{p}")
 
 
 def enumerate_curves(field):

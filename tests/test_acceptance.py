@@ -16,6 +16,7 @@ from lambda2 import cli
 from lambda2.classify import (
     admissible_traces,
     isogeny_class_two_torsion_profile,
+    kani_admissible,
     lambda_exact,
     lambda_formula,
     lambda_formula_resolved,
@@ -27,7 +28,7 @@ from lambda2.classify import (
 from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order
 from lambda2.fforacle import branch_degree, cover_census, lambda_oracle
-from lambda2.galois2 import all_isos_are_restrictions, rigidity_closed_form
+from lambda2.galois2 import all_isos_are_restrictions
 from object_reference import cover_point_count, cover_representatives, enumerate_curves
 
 ELAPSED = {}
@@ -199,7 +200,7 @@ def test_criterion5_rigidity_closed_form_equivalence():
             for right in curves:
                 if left.j_invariant() != right.j_invariant():
                     continue
-                assert rigidity_closed_form(left, right) == all_isos_are_restrictions(
+                assert (not kani_admissible(left, right)) == all_isos_are_restrictions(
                     left, right
                 ), (q, str(left.b), str(right.b))
 

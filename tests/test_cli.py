@@ -446,6 +446,7 @@ FROZEN_POOLS = (
     "warm_table",
     "warm_verify",
     "invalid",
+    "selfcheck",
 )
 # pools the benchmark runs on a cache that its set-up filled with table --q 49
 WARM_POOLS = ("warm_table", "warm_verify")
@@ -527,9 +528,76 @@ def test_cli_loads_only_production_modules(tmp_path):
         rc, digest = got["runs"][cmd]
         want = _frozen(pool)[cmd] if pool else {"rc": 0, "sha256": digest}
         assert (rc, digest) == (want["rc"], want["sha256"]), cmd
-    # the Kani rule has one home, which the reference re-exports
-    assert galois2.rigidity_closed_form is classify.rigidity_closed_form
+    # the Kani rule has one name and one home, and the reference borrows
+    # nothing from a route: it imports no name of classify, fforacle or cli
+    assert not hasattr(classify, "rigidity_closed_form")
+    assert not hasattr(galois2, "rigidity_closed_form")
     assert not hasattr(galois2, "kani_admissible")
+    borrowed = {getattr(obj, "__module__", None) for obj in vars(galois2).values()}
+    assert not borrowed & {"lambda2.classify", "lambda2.fforacle", "lambda2.cli"}
+    # on a rigid j = 0 pair (b'/b = 5/2 a cube mod 7) the rule's negation is
+    # the reference's subset test
+    E1, E2 = make_curve(7, 0, 2), make_curve(7, 0, 5)
+    assert galois2.all_isos_are_restrictions(E1, E2) is True
+    assert classify.kani_admissible(E1, E2) is False
+
+
+# reference code: the polynomial layer and the embeddings, Tonelli-Shanks
+# square roots, and the object point list and base change, which the tests
+# hold the production paths to.  sys.setprofile sees every Python call, and
+# each is matched by the identity of its code object, which needs no
+# qualified name (co_qualname is new in Python 3.11; the floor is 3.10)
+REFERENCE_PROBE = """
+import contextlib, io, json, sys
+import lambda2.cli
+from lambda2 import ecurve, ffield
+reference = {}
+def keep(fn, owner=""):
+    code = getattr(getattr(fn, "__func__", fn), "__code__", None)
+    if code is not None:
+        reference[id(code)] = (code, owner + code.co_name)
+for cls in (ffield.Polynomial, ffield.FieldEmbedding):
+    for attr in vars(cls).values():
+        keep(attr, cls.__name__ + ".")
+for fn in (ffield.factor, ffield.roots, ffield.squarefree_decomposition,
+           ffield._distinct_degree, ffield._equal_degree, ffield._pth_root_poly,
+           ffield.embedding.__wrapped__, ffield.sqrt):
+    keep(fn)
+keep(ecurve.EllipticCurve.affine_points, "EllipticCurve.")
+keep(ecurve.EllipticCurve.base_change, "EllipticCurve.")
+ran, codes = {}, []
+def profile(frame, event, arg):
+    if event == "call" and id(frame.f_code) in reference:
+        name = reference[id(frame.f_code)][1]
+        ran[name] = ran.get(name, 0) + 1
+for cmd in sys.argv[1:]:
+    sys.setprofile(profile)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = lambda2.cli.main(cmd.split())
+    sys.setprofile(None)
+    codes.append(rc)
+print(json.dumps({"watched": len(reference), "ran": ran, "rc": codes}))
+"""
+
+
+def test_cli_runs_no_reference_code(tmp_path):
+    # the boundary commands, in a fresh interpreter so that no field or
+    # inventory is cached, call no reference code at all
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        LAMBDA2_CACHE_DIR=str(tmp_path),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", REFERENCE_PROBE, *BOUNDARY_COMMANDS],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    # 23 methods of Polynomial, 3 of FieldEmbedding, 8 functions, 2 of the curve
+    assert got["watched"] == 36
+    assert got["rc"] == [0] * len(BOUNDARY_COMMANDS)
+    assert got["ran"] == {}
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):

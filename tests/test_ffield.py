@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from lambda2 import ffield
+from lambda2.ecurve import INVENTORY_CAP
 from lambda2.ffield import (
     IncompatibleFields,
     NotASquare,
@@ -18,6 +20,7 @@ from lambda2.ffield import (
     roots,
     sqrt,
 )
+from object_reference import distinct_degree_modulus
 
 SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (3, 2), (5, 3)]
 
@@ -98,6 +101,25 @@ def test_modulus_scan_matches_brute_force():
             found = (c0, c1, 1)
             break
     assert found == F.modulus_coeffs
+
+
+def test_rabin_modulus_matches_the_distinct_degree_search():
+    # Rabin's test in the candidate's ring picks the modulus that the
+    # lex-first distinct-degree search picks, on every field the inventory
+    # serves and on the pinned composite degrees; the cache is bypassed, so
+    # every field is searched afresh
+    fields = []
+    for q in range(5, INVENTORY_CAP + 1, 2):
+        try:
+            p, m = prime_power(q)
+        except ValueError:
+            continue
+        if p > 3:
+            fields.append((p, m))
+    assert len(fields) == 73
+    for p, m in fields + [(5, 8), (7, 6), (7, 9), (7, 18)]:
+        built = ffield._make_field.__wrapped__(p, m)
+        assert built.modulus_coeffs == distinct_degree_modulus(p, m), (p, m)
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)

@@ -18,6 +18,7 @@ from lambda2.fforacle import (
     ZeroFunction,
     _candidates,
     _count_places,
+    _points,
     branch_degree,
     cover_census,
     lambda_oracle,
@@ -538,6 +539,21 @@ def test_index_place_count_matches_the_object_reference_over_f25():
         checked += 1
         zeros += checked % 2 == 0
     assert zeros == 6
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 25, 49])
+def test_index_points_and_nonsquare_match_the_object_ones(q):
+    # the census lists its points on element indices, each square's roots
+    # off the mul diagonal, and reads nu off the square table: the list is
+    # affine_points' (Tonelli-Shanks roots), in its order, on every class,
+    # and the census's nonzero v are 1 and the canonical nonsquare
+    field = field_of_order(q)
+    inventory = curve_inventory(field)
+    for curve in inventory:
+        points = _points(curve)
+        assert points == [(x.index, y.index) for x, y in curve.affine_points()], curve
+    vs = {v for _, v in _candidates(inventory[0], _points(inventory[0]))}
+    assert vs == {0, 1, field.nonsquare().index}
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19])

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lambda2.classify import kani_admissible, rigidity_closed_form
+from lambda2.classify import kani_admissible
 from lambda2.ecurve import curve_inventory, make_curve
 from lambda2.ffield import field_of_order, make_field
 from lambda2.galois2 import (
@@ -224,16 +224,17 @@ def test_all_isos_are_restrictions_corrected_closed_form():
 
 
 def test_rigidity_closed_form_gap_is_exactly_the_cube_condition():
-    # with the cube condition on b'/b in its j=0 clause, and vacuous truth on
-    # pairs of different structure, the closed form equals the subset test on
-    # every ordered pair; j=0 Trivial pairs exist at q = 7 and 13 (q = 1 mod
-    # 3), where both outcomes of the cube test must occur
+    # with the cube condition on b'/b in its j=0 clause, and no gluing on
+    # pairs of different structure (where the subset test is vacuously true),
+    # the closed form's negation equals the subset test on every ordered
+    # pair; j=0 Trivial pairs exist at q = 7 and 13 (q = 1 mod 3), where both
+    # outcomes of the cube test must occur
     outcomes = set()
     for q in (5, 7, 11, 13):
         inv = curve_inventory(make_field(q))
         for E1, E2 in itertools.product(inv, inv):
             rigid = all_isos_are_restrictions(E1, E2)
-            assert rigidity_closed_form(E1, E2) is rigid, (q, E1, E2)
+            assert (not kani_admissible(E1, E2)) is rigid, (q, E1, E2)
             if (
                 E1.a.is_zero()
                 and E2.a.is_zero()
@@ -245,12 +246,11 @@ def test_rigidity_closed_form_gap_is_exactly_the_cube_condition():
     # frozen pair: same j = 0, both Trivial, ratio 3/2 not a cube mod 7, so
     # no equivariant isomorphism is a restriction and the curves glue
     E1, E2 = make_curve(F7, 0, 2), make_curve(F7, 0, 3)
-    assert rigidity_closed_form(E1, E2) is False
     assert all_isos_are_restrictions(E1, E2) is False
-    assert kani_admissible(E1, E2)
+    assert kani_admissible(E1, E2) is True
     # while the cube-ratio partner pair is genuinely rigid
     E3 = make_curve(F7, 0, 5)
-    assert rigidity_closed_form(E1, E3) is True
+    assert kani_admissible(E1, E3) is False
     assert all_isos_are_restrictions(E1, E3) is True
 
 
