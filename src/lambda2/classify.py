@@ -7,8 +7,11 @@ Three layers:
 * lambda_formula: the closed-form candidate set for a fixed base curve,
   driven entirely by its 2-torsion structure, with exception flags on the two
   rigid (j, structure) combinations where candidates may fail;
-* lambda_exact: ground truth by enumeration — a trace survives iff some curve
-  of that trace passes the Kani gluing test against the base curve.
+* lambda_exact: ground truth from the curve inventory — a trace survives iff
+  some class of that trace and of the base's 2-torsion structure (the only
+  one that can glue) passes the Kani gluing test against the base curve.
+  The traces come from the inventory alone; the Waterhouse list only
+  validates them, in LambdaSet, so a fault in it raises.
 
 The Kani test, kani_admissible: two curves glue along their 2-torsion into
 a genus-2 double cover of each exactly when some Frobenius-equivariant
@@ -204,12 +207,13 @@ class LambdaSet:
 
 
 @lru_cache(maxsize=None)
-def _classes_by_trace(field):
-    """Inventory classes bucketed by (trace, 2-torsion structure)."""
+def _buckets(field):
+    """Inventory classes grouped by 2-torsion structure, then by trace, in
+    inventory order: buckets[structure][t] is a list of classes."""
     buckets = {}
     for curve in curve_inventory(field):
-        key = (curve.trace(), curve.two_torsion_structure())
-        buckets.setdefault(key, []).append(curve)
+        by_trace = buckets.setdefault(curve.two_torsion_structure(), {})
+        by_trace.setdefault(curve.trace(), []).append(curve)
     return buckets
 
 
@@ -265,40 +269,32 @@ def lambda_formula(curve):
     return LambdaSet(curve, 2, candidates, "formula"), flagged
 
 
-def _has_kani_partner(curve, a):
-    # different structures never glue, so only the base's own bucket is read;
-    # kani_admissible is looked up as a module global on purpose:
-    # perfbench/tracer.py wraps it under this name to count Kani checks
-    key = (a, curve.two_torsion_structure())
-    partners = _classes_by_trace(curve.field).get(key, ())
-    return any(kani_admissible(curve, other) for other in partners)
-
-
 def lambda_formula_resolved(curve):
     """lambda_formula with every flagged candidate settled by the Kani test.
 
-    The flagged candidates of a rigid curve are settled on the curve
-    inventory, so it is built first: a field above INVENTORY_CAP is refused
-    with FieldTooLarge before the curve's O(q) x-line scan.
+    A rigid curve's flagged candidates are read off lambda_exact, called
+    first: it looks up the inventory before the curve's O(q) x-line scan, so
+    a field above INVENTORY_CAP is refused with FieldTooLarge before it.
     """
-    if _rigid(curve):
-        _classes_by_trace(curve.field)
+    settled = lambda_exact(curve).traces if _rigid(curve) else ()
     candidates, flagged = lambda_formula(curve)
-    if not flagged:
-        return candidates
-    kept = [
-        a
-        for a in candidates.traces
-        if a not in flagged or _has_kani_partner(curve, a)
-    ]
+    kept = [a for a in candidates.traces if a not in flagged or a in settled]
     return LambdaSet(curve, 2, kept, "formula")
 
 
 def lambda_exact(curve):
-    """Ground-truth trace set: enumerate all classes and apply the Kani test."""
-    q = curve.field.order
+    """Ground-truth trace set: each trace t whose bucket of the base's
+    2-torsion structure holds a class that passes the Kani test against it.
+
+    The buckets are built first, so above INVENTORY_CAP FieldTooLarge comes
+    before the base's x-line scan.  kani_admissible is read as a module
+    global on purpose: perfbench/tracer.py wraps it to count Kani checks.
+    """
+    buckets = _buckets(curve.field)
     traces = [
-        a for a in admissible_traces(q).traces if _has_kani_partner(curve, a)
+        t
+        for t, partners in buckets[curve.two_torsion_structure()].items()
+        if any(kani_admissible(curve, other) for other in partners)
     ]
     return LambdaSet(curve, 2, traces, "kani")
 
@@ -340,7 +336,7 @@ def isogeny_class_two_torsion_profile(q, a):
     if a not in admissible_traces(q):
         raise NotAdmissible(f"trace {a} is not admissible for q={q}")
     field = field_of_order(q)
-    found = {structure for t, structure in _classes_by_trace(field) if t == a}
+    found = {structure for structure, by_trace in _buckets(field).items() if a in by_trace}
     if not found:
         raise InvariantViolation(f"admissible trace {a} has no curve over F_{q}")
     return frozenset(found)

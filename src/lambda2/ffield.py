@@ -37,7 +37,6 @@ power, so a single test never builds a table.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from functools import lru_cache

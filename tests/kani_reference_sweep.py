@@ -14,6 +14,9 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   restriction of a geometric isomorphism) on every ordered pair of classes
   sharing j = 0 or j = 1728, the only pairs where the rule is not settled
   by counting alone;
+* hold classify.lambda_exact, which reads the inventory's buckets of the
+  base's 2-torsion structure, to the all-pairs Kani scan
+  (all_pairs_kani_traces in object_reference.py) on every class;
 * hold the tangency census (fforacle.cover_census) to the full scan of
   every cover (full_scan_census in object_reference.py) on every class of
   F_25, histogram for histogram;
@@ -39,8 +42,9 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   list of affine_points on every class of F_121, F_125 and F_169.
 
 Prints one line of counts per field and exits 1 on any mismatch, failed
-mass count, failed lex-min check, failed census check (histogram or set),
-failed place count, failed CLI check, failed modulus or failed point list.
+mass count, failed lex-min check, failed all-pairs check, failed census
+check (histogram or set), failed place count, failed CLI check, failed
+modulus or failed point list.
 
 Not collected by pytest (the file name has no test_ prefix); run it as
 
@@ -63,7 +67,12 @@ from lambda2.galois2 import (
     module_isomorphisms,
     two_torsion_module,
 )
-from object_reference import distinct_degree_modulus, full_scan_census, zero_place_counts
+from object_reference import (
+    all_pairs_kani_traces,
+    distinct_degree_modulus,
+    full_scan_census,
+    zero_place_counts,
+)
 from test_ecurve import class_representative
 
 
@@ -116,6 +125,18 @@ def sweep(p, m):
         if got is not want:
             mismatches.append((E1, E2))
     return pairs, glue, mismatches
+
+
+def all_pairs_failures(p, m):
+    """(classes checked, classes whose lambda_exact differs from the
+    all-pairs Kani scan)."""
+    curves = curve_inventory(make_field(p, m))
+    failed = 0
+    for E in curves:
+        if lambda_exact(E).traces != all_pairs_kani_traces(E):
+            failed += 1
+            print(f"  all-pairs mismatch: {E!r}")
+    return len(curves), failed
 
 
 def histogram_failures(p, m):
@@ -212,11 +233,14 @@ def cli_failures(q):
 
 
 def main():
-    fields = total = bad = bad_mass = bad_lex = bad_cli = 0
+    fields = total = bad = bad_mass = bad_lex = bad_cli = pair_classes = bad_pairs = 0
     for p, m in sweep_fields(INVENTORY_CAP):
         covered, models = mass(p, m)
         lex_failed = lex_min_failures(p, m)
         pairs, glue, mismatches = sweep(p, m)
+        n, failed = all_pairs_failures(p, m)
+        pair_classes += n
+        bad_pairs += failed
         cli_failed = cli_failures(p**m)
         print(
             f"q = {p ** m}: orbits cover {covered} of {models} models,"
@@ -242,6 +266,8 @@ def main():
     print(f"{fields} fields, {bad_mass} failed mass counts")
     print(f"{fields} fields, {bad_lex} failed lex-min checks")
     print(f"{fields} fields, {bad_cli} failed CLI checks (cold table, warm table, verify)")
+    print(f"{fields} fields: lambda_exact against the all-pairs Kani scan on {pair_classes}"
+          f" classes, {bad_pairs} failed", flush=True)
     checked, bad_census = histogram_failures(5, 2)
     print(f"q = 25: census histogram against the full scan on {checked} classes,"
           f" {bad_census} failed", flush=True)
@@ -266,7 +292,7 @@ def main():
     classes, bad_points = point_list_failures(((11, 2), (5, 3), (13, 2)))
     print(f"q = 121, 125 and 169: index point list against affine_points on {classes}"
           f" classes, {bad_points} failed", flush=True)
-    failures = (bad, bad_mass, bad_lex, bad_census, bad_count, bad_cli)
+    failures = (bad, bad_mass, bad_lex, bad_pairs, bad_census, bad_count, bad_cli)
     return 1 if any(failures) or bad_moduli or bad_points else 0
 
 

@@ -6,6 +6,9 @@ index code to.  pytest does not collect this file.
   which test_ffield and the CI sweep hold make_field's Rabin test;
 * enumerate_curves: every nonsingular (a, b) model of a field, the input of
   the orbit walk that test_ecurve holds curve_inventory to;
+* all_pairs_kani_traces: the traces of every inventory class that passes
+  the Kani test against a curve, one pair at a time, with no buckets and no
+  Waterhouse list, which test_classify and the CI sweep hold lambda_exact to;
 * cover_point_count and cover_complementary_trace: the rational places of a
   cover w^2 = u(x) + v*y counted on field elements, over F_q or over F_{q^k}
   through base change, reading the valuation and unit at each zero of g
@@ -27,7 +30,14 @@ index code to.  pytest does not collect this file.
 
 from functools import lru_cache
 
-from lambda2.ecurve import INVENTORY_CAP, EllipticCurve, FieldTooLarge, SingularCurve
+from lambda2.classify import kani_admissible
+from lambda2.ecurve import (
+    INVENTORY_CAP,
+    EllipticCurve,
+    FieldTooLarge,
+    SingularCurve,
+    curve_inventory,
+)
 from lambda2.ffield import (
     InvariantViolation,
     Polynomial,
@@ -80,6 +90,13 @@ def enumerate_curves(field):
                 yield EllipticCurve(field, a, b)
             except SingularCurve:
                 pass
+
+
+def all_pairs_kani_traces(curve):
+    """Sorted traces of the inventory classes E' with kani_admissible(curve,
+    E'), over every class of the curve's field."""
+    inventory = curve_inventory(curve.field)
+    return tuple(sorted({E.trace() for E in inventory if kani_admissible(curve, E)}))
 
 
 def _series_mul(a, b, zero):

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import lambda2
-from lambda2 import ffield
+from lambda2 import classify, cli, ffield
 from lambda2.classify import (
     AdmissibleSet,
     DegreeNotCoprime,
@@ -29,6 +29,7 @@ from lambda2.classify import (
 from lambda2.classify import _rigid
 from lambda2.ecurve import EllipticCurve, FieldTooLarge, curve_inventory, make_curve
 from lambda2.ffield import make_field
+from object_reference import all_pairs_kani_traces
 
 # complementary traces for every isomorphism class over F_5, frozen from an
 # independent hand enumeration of genus-2 double covers
@@ -201,9 +202,42 @@ def test_rigid_formula_query_above_cap_refused_before_scan(monkeypatch):
     for q, a, b in [(999983, 1, 0), (1009, 0, 2)]:
         with pytest.raises(FieldTooLarge, match="inventory is capped at field size 343"):
             lambda_formula_resolved(make_curve(q, a, b))
+    # the Kani route reads the inventory before the base's structure
+    with pytest.raises(FieldTooLarge, match="inventory is capped at field size 343"):
+        lambda_exact(make_curve(999983, 1, 1))
     # a j = 1728 curve with Full structure is not rigid, and scans
     with pytest.raises(RuntimeError, match="x-line"):
         lambda_formula_resolved(make_curve(1009, 1, 0))
+
+
+# every field of characteristic at least 5 up to 49
+ALL_PAIRS_FIELDS = [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49]
+
+
+def test_lambda_exact_equals_all_pairs_reference():
+    classes = 0
+    for q in ALL_PAIRS_FIELDS:
+        for curve in _curves(q):
+            assert lambda_exact(curve).traces == all_pairs_kani_traces(curve), (q, curve)
+            classes += 1
+    assert classes == 842
+
+
+@pytest.mark.parametrize("q", [25, 49, 59])
+def test_kani_route_does_not_read_the_waterhouse_list(q, monkeypatch, tmp_path):
+    # the Kani set comes from the inventory alone, and the Waterhouse list
+    # only validates it: a list that lost +-2 must raise, not hide trace 2
+    curve = next(c for c in _curves(q) if 2 in lambda_exact(c).traces)
+    real = classify.admissible_traces
+
+    def without_two(order):
+        return AdmissibleSet(order, [t for t in real(order) if abs(t) != 2])
+
+    monkeypatch.setattr(classify, "admissible_traces", without_two)
+    with pytest.raises(InvariantViolation, match="inadmissible trace"):
+        lambda_exact(curve)
+    with pytest.raises(InvariantViolation, match="inadmissible trace"):
+        cli.main(["verify", "--q", str(q), "--cache-dir", str(tmp_path)])
 
 
 def test_unflagged_candidates_always_survive():

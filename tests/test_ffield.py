@@ -92,8 +92,6 @@ def test_modulus_scan_matches_brute_force():
     # re-derive the q=25 modulus by brute force over tuples in index order
     F = make_field(5, 2)
     found = None
-    for c0 in range(5):
-        pass
     for idx in range(25):
         c0, c1 = idx % 5, idx // 5
         # irreducible quadratics over F_5 have no roots
