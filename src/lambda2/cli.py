@@ -8,16 +8,16 @@ Subcommands:
 * admissible  realizable elliptic-curve traces over F_q.
 
 table and verify cache table's rows, the classes of the inventory in order
-with their Kani sets, on disk as cache/q{q}.v2.json (override with
---cache-dir or the LAMBDA2_CACHE_DIR environment variable); lambda computes
-afresh and takes no --cache-dir.  Cache files embed a schema version and a
-content hash; anything stale, damaged or of another shape is silently
-recomputed.  verify walks the inventory, recomputes every route on each
-class, and holds the cached row at the class's position to a fresh build of
-that row, column by column; a class the cached rows do not reach, and a
-cached row beyond the inventory, are mismatches too; on any mismatch the
-rows verify built replace the entry.  The exhaustive cover
-oracle, the independent witness, is never cached.
+with their Kani sets, on disk as q{q}.v2.json in the directory
+LAMBDA2_CACHE_DIR names (unset or empty: cache); lambda computes afresh.
+Cache files embed a schema version and a content hash; anything stale,
+damaged or of another shape is silently rebuilt.  verify builds every row
+once, recomputes every route on each class, and holds the cached row at the
+class's position to the fresh one, column by column; with no usable entry
+it first stores the rows it built.  A class the cached rows do not reach,
+and a cached row beyond the inventory, are mismatches too; on any mismatch
+the rows verify built replace the entry.  The exhaustive cover oracle, the
+independent witness, is never cached.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
 unusable cache directory included.  A q above a command's cap is invalid
@@ -84,11 +84,6 @@ def _content_hash(payload):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_dir(args):
-    # an empty --cache-dir or LAMBDA2_CACHE_DIR counts as unset
-    return args.cache_dir or os.environ.get("LAMBDA2_CACHE_DIR") or "cache"
-
-
 def _row(curve):
     """table's row for one class: its curve columns and its Kani set."""
     return {
@@ -103,14 +98,18 @@ def _row(curve):
     }
 
 
-def _cache_path(q, cache_dir):
+def _cache_path(q):
+    # an empty LAMBDA2_CACHE_DIR counts as unset
+    cache_dir = os.environ.get("LAMBDA2_CACHE_DIR") or "cache"
     return os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")
 
 
-def _store_entry(q, curves, cache_dir):
+def _store_entry(q, rows):
     """Write q's entry of these rows by one rename, so a reader sees the old
-    file or the new one, never a part, and return it."""
-    body = {"schema": CACHE_SCHEMA, "q": q, "curves": curves}
+    file or the new one, never a part."""
+    path = _cache_path(q)
+    cache_dir = os.path.dirname(path)
+    body = {"schema": CACHE_SCHEMA, "q": q, "curves": rows}
     entry = dict(body, hash=_content_hash(body))
     # an unusable cache directory is bad input, not a verify mismatch
     try:
@@ -120,23 +119,22 @@ def _store_entry(q, curves, cache_dir):
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(_dumps(entry))
                 fh.write("\n")
-            os.replace(tmp, _cache_path(q, cache_dir))
+            os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as exc:
         raise ValueError(f"cannot write the cache in {cache_dir}: {exc}") from None
-    return entry
 
 
-def _load_or_build_entry(q, cache_dir):
+def _cached_rows(q):
+    """q's cached rows, or None for a missing, stale or damaged entry."""
     # refuse before building the field: the inventory is super-linear in q
     if q > INVENTORY_CAP:
         raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
-    path = _cache_path(q, cache_dir)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_cache_path(q), encoding="utf-8") as fh:
             entry = json.load(fh)
     except (OSError, ValueError):
         entry = None
@@ -150,9 +148,8 @@ def _load_or_build_entry(q, cache_dir):
             isinstance(row, dict) and row.keys() == set(_TABLE_COLUMNS) for row in rows
         )
         if current and shaped and entry.get("hash") == _content_hash(body):
-            return entry
-    rows = [_row(curve) for curve in curve_inventory(field_of_order(q))]
-    return _store_entry(q, rows, cache_dir)
+            return rows
+    return None
 
 
 def _parse_coefficient(field, text):
@@ -174,7 +171,10 @@ def _csv_cell(value):
 
 
 def cmd_table(args):
-    rows = _load_or_build_entry(args.q, _cache_dir(args))["curves"]
+    rows = _cached_rows(args.q)
+    if rows is None:
+        rows = [_row(curve) for curve in curve_inventory(field_of_order(args.q))]
+        _store_entry(args.q, rows)
     if args.format == "json":
         print(_dumps(rows))
         return 0
@@ -218,19 +218,20 @@ def cmd_lambda(args):
 
 def cmd_verify(args):
     q = args.q
-    cache_dir = _cache_dir(args)
-    cached = _load_or_build_entry(q, cache_dir)["curves"]
+    cached = _cached_rows(q)
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
     inventory = curve_inventory(field)
+    rows = [_row(curve) for curve in inventory]
+    if cached is None:
+        # stored before any line is printed: an unusable directory prints none
+        _store_entry(q, rows)
+        cached = rows
     failures = 0
-    rows = []
-    for at, curve in enumerate(inventory):
+    for at, (curve, row) in enumerate(zip(inventory, rows)):
         # every route runs afresh on the class; the cached row at its
-        # position must be the row a fresh build gives, by repr, so that a
-        # cached 1 for true or 2.0 for 2 is a fault too
-        row = _row(curve)
-        rows.append(row)
+        # position must be its fresh row, by repr, so that a cached 1 for
+        # true or 2.0 for 2 is a fault too
         label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
         sets = {
             "formula": lambda_formula_resolved(curve).traces,
@@ -263,7 +264,7 @@ def cmd_verify(args):
     if failures:
         # the rows just built replace the entry, so no later table serves a
         # faulty one
-        _store_entry(q, rows, cache_dir)
+        _store_entry(q, rows)
         print(f"{n} classes, {failures} mismatches")
         return 1
     if use_oracle:
@@ -289,7 +290,6 @@ def build_parser():
     table = sub.add_parser("table", help="all isomorphism classes over F_q")
     table.add_argument("--q", type=int, required=True)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--cache-dir")
     table.set_defaults(func=cmd_table)
 
     lam = sub.add_parser("lambda", help="complementary-trace set of one curve")
@@ -302,7 +302,6 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="cross-check the computation routes")
     verify.add_argument("--q", type=int, required=True)
-    verify.add_argument("--cache-dir")
     verify.set_defaults(func=cmd_verify)
 
     adm = sub.add_parser("admissible", help="realizable traces over F_q")

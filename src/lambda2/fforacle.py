@@ -261,7 +261,7 @@ def _candidates(curve, points):
     an affine point with y0 != 0 (see the module docstring)."""
     field = curve.field
     add, mul, neg, inv = field.index_arithmetic()
-    nu = field.squares_table().index(0)  # the canonical nonsquare
+    nu = field.nonsquare().index
     for scale in (1, nu):
         row = mul[scale]
         for c0 in row:

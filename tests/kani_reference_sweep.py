@@ -54,11 +54,13 @@ Not collected by pytest (the file name has no test_ prefix); run it as
 import contextlib
 import io
 import itertools
+import os
 import sys
 import tempfile
+from unittest import mock
 
 from lambda2 import cli
-from lambda2.classify import _rigid, kani_admissible, lambda_exact
+from lambda2.classify import _buckets, _rigid, kani_admissible, lambda_exact
 from lambda2.ecurve import INVENTORY_CAP, curve_inventory
 from lambda2.ffield import FIELD_SIZE_CAP, _make_field, make_field, prime_power
 from lambda2.fforacle import _points, cover_census
@@ -220,10 +222,13 @@ def cli_failures(q):
     def run(command):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main([command, "--q", str(q), "--cache-dir", cache_dir])
+            code = cli.main([command, "--q", str(q)])
         return code, out.getvalue()
 
-    with tempfile.TemporaryDirectory() as cache_dir:
+    # the variable is restored afterwards, so no other check sees this cache
+    with tempfile.TemporaryDirectory() as cache_dir, mock.patch.dict(
+        os.environ, LAMBDA2_CACHE_DIR=cache_dir
+    ):
         cold = run("table")
         warm = run("table")
         verify = run("verify")
@@ -258,8 +263,9 @@ def main():
         bad_mass += covered != models
         bad_lex += lex_failed
         bad_cli += cli_failed
-        # each field's inventory and modules are needed only once
+        # each field's inventory, buckets and modules are needed only once
         curve_inventory.cache_clear()
+        _buckets.cache_clear()
         two_torsion_module.cache_clear()
         geometric_restrictions.cache_clear()
     print(f"{fields} fields, {total} pairs, {bad} mismatches")

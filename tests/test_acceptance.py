@@ -61,9 +61,9 @@ a,b,j,a_q,two_torsion,supersingular,aut_count,lambda_traces
 """
 
 
-def test_criterion1_f5_table_golden(tmp_path, capsys):
+def test_criterion1_f5_table_golden(capsys):
     started = time.time()
-    code = cli.main(["table", "--q", "5", "--cache-dir", str(tmp_path)])
+    code = cli.main(["table", "--q", "5"])
     out = capsys.readouterr().out
     assert code == 0
     assert out == TABLE_F5
@@ -276,8 +276,8 @@ def test_criterion6_exception_bounds_q9():
 # --- CLI gate: the primary golden invocation ---------------------------------
 
 
-def test_primary_gate_cmd_verify_q5(tmp_path, capsys):
-    code = cli.main(["verify", "--q", "5", "--cache-dir", str(tmp_path)])
+def test_primary_gate_cmd_verify_q5(capsys):
+    code = cli.main(["verify", "--q", "5"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[-1] == "12 classes, 3 modes, all agree"

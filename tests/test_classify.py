@@ -224,7 +224,7 @@ def test_lambda_exact_equals_all_pairs_reference():
 
 
 @pytest.mark.parametrize("q", [25, 49, 59])
-def test_kani_route_does_not_read_the_waterhouse_list(q, monkeypatch, tmp_path):
+def test_kani_route_does_not_read_the_waterhouse_list(q, monkeypatch):
     # the Kani set comes from the inventory alone, and the Waterhouse list
     # only validates it: a list that lost +-2 must raise, not hide trace 2
     curve = next(c for c in _curves(q) if 2 in lambda_exact(c).traces)
@@ -237,7 +237,7 @@ def test_kani_route_does_not_read_the_waterhouse_list(q, monkeypatch, tmp_path):
     with pytest.raises(InvariantViolation, match="inadmissible trace"):
         lambda_exact(curve)
     with pytest.raises(InvariantViolation, match="inadmissible trace"):
-        cli.main(["verify", "--q", str(q), "--cache-dir", str(tmp_path)])
+        cli.main(["verify", "--q", str(q)])
 
 
 def test_unflagged_candidates_always_survive():

@@ -26,8 +26,8 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_table_csv_golden_rows(tmp_path, capsys):
-    code, out, _ = run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))
+def test_table_csv_golden_rows(capsys):
+    code, out, _ = run(capsys, "table", "--q", "5")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "a,b,j,a_q,two_torsion,supersingular,aut_count,lambda_traces"
@@ -36,9 +36,9 @@ def test_table_csv_golden_rows(tmp_path, capsys):
     assert "0,1,0,0,C2,true,2,-4;-2;0;2;4" in lines
 
 
-def test_table_json_round_trip(tmp_path, capsys):
+def test_table_json_round_trip(capsys):
     code, out, _ = run(
-        capsys, "table", "--q", "7", "--format", "json", "--cache-dir", str(tmp_path)
+        capsys, "table", "--q", "7", "--format", "json"
     )
     assert code == 0
     rows = json.loads(out)
@@ -120,16 +120,16 @@ def test_lambda_rejects_bad_input(capsys):
     assert code == 2
 
 
-def test_verify_three_way(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
+def test_verify_three_way(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "5")
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "12 classes, 3 modes, all agree"
     assert sum(1 for line in lines if ": ok" in line) == 12
 
 
-def test_verify_two_way_skips_oracle(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--q", "25", "--cache-dir", str(tmp_path))
+def test_verify_two_way_skips_oracle(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "25")
     assert code == 0
     assert out.splitlines()[-1] == (
         "56 classes, formula/kani agree (oracle skipped: non-prime q)"
@@ -153,13 +153,13 @@ def _verify_permuted(tmp_path, capsys, permute):
     re-hashed.  A warm table on that entry prints other bytes; verify
     replaces it with the rows it built, so a warm table after it prints the
     cold bytes."""
-    code, cold, _ = run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))
+    code, cold, _ = run(capsys, "table", "--q", "7")
     assert code == 0
     _plant(_cache_file(tmp_path, 7), permute)
-    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[1] != cold
-    code, out, err = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    assert run(capsys, "table", "--q", "7")[1] != cold
+    code, out, err = run(capsys, "verify", "--q", "7")
     assert (code, err) == (1, ""), out
-    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path)) == (0, cold, "")
+    assert run(capsys, "table", "--q", "7") == (0, cold, "")
     lines = out.splitlines()
     # labels come from the curve, and the first MISMATCH names the first class
     first = curve_inventory(field_of_order(7))[0]
@@ -189,11 +189,28 @@ def test_verify_refuses_a_reversed_entry(tmp_path, capsys):
     # the entry verify wrote is the fresh build, so a second verify passes
     # and leaves it as it is
     written = _cache_file(tmp_path, 7).stat().st_mtime_ns
-    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--q", "7")
     assert code == 0
     assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
     assert _cache_file(tmp_path, 7).stat().st_mtime_ns == written
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("damage", [None, "not json at all"], ids=["cold", "damaged"])
+def test_verify_builds_each_row_once(damage, tmp_path, capsys, monkeypatch):
+    # with no usable entry verify stores the rows it built and compares
+    # against them, so each class's row (and its Kani set) is built once
+    if damage is not None:
+        assert run(capsys, "table", "--q", "7")[0] == 0
+        _cache_file(tmp_path, 7).write_text(damage)
+    built = []
+    row = cli._row
+    monkeypatch.setattr(cli, "_row", lambda curve: built.append(curve) or row(curve))
+    code, out, err = run(capsys, "verify", "--q", "7")
+    assert (code, err) == (0, ""), out
+    assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
+    assert built == list(curve_inventory(field_of_order(7)))
+    assert cli._cached_rows(7) == [row(curve) for curve in built]
 
 
 def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
@@ -205,9 +222,9 @@ def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
         row["lambda_traces"] = [t for t in row["lambda_traces"] if abs(t) != 2]
         return curves
 
-    assert run(capsys, "table", "--q", "25", "--cache-dir", str(tmp_path))[0] == 0
+    assert run(capsys, "table", "--q", "25")[0] == 0
     _plant(_cache_file(tmp_path, 25), edit)
-    code, out, _ = run(capsys, "verify", "--q", "25", "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--q", "25")
     assert code == 1, out
     lines = out.splitlines()
     assert lines[-1] == "56 classes, 1 mismatches"
@@ -231,9 +248,9 @@ def test_verify_holds_each_row_and_the_row_set_to_the_inventory(tmp_path, capsys
                 row.update(a_q=4, two_torsion="Trivial")
         return [row for row in curves if (row["a"], row["b"]) != ("2", "0")]
 
-    assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert run(capsys, "table", "--q", "5")[0] == 0
     _plant(_cache_file(tmp_path, 5), edit)
-    code, out, _ = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--q", "5")
     assert code == 1, out
     lines = out.splitlines()
     assert lines[-1] == "12 classes, 8 mismatches"
@@ -259,9 +276,9 @@ def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
                 row["a"] = "2"
         return curves + [dict(curves[0])]
 
-    assert run(capsys, "table", "--q", "7", "--cache-dir", str(tmp_path))[0] == 0
+    assert run(capsys, "table", "--q", "7")[0] == 0
     _plant(_cache_file(tmp_path, 7), edit)
-    code, out, _ = run(capsys, "verify", "--q", "7", "--cache-dir", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "--q", "7")
     assert code == 1, out
     lines = out.splitlines()
     assert lines[-1] == "18 classes, 2 mismatches"
@@ -286,9 +303,9 @@ def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, col, val
         curves[1][col] = value
         return curves
 
-    assert run(capsys, "table", "--q", "5", "--cache-dir", str(tmp_path))[0] == 0
+    assert run(capsys, "table", "--q", "5")[0] == 0
     _plant(_cache_file(tmp_path, 5), edit)
-    code, out, err = run(capsys, "verify", "--q", "5", "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, "verify", "--q", "5")
     assert (code, err) == (1, ""), err
     lines = out.splitlines()
     want = 0 if col == "a_q" else "2"
@@ -299,7 +316,7 @@ def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, col, val
 
 
 def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
-    # as with an empty --cache-dir, the default directory is used
+    # an empty variable counts as unset: the default directory is used
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("LAMBDA2_CACHE_DIR", "")
     code, _, err = run(capsys, "table", "--q", "5")
@@ -308,20 +325,18 @@ def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("table", "--q", "5", "--cache-dir", "{file}"),
-        ("verify", "--q", "5", "--cache-dir", "/dev/null/x"),
-    ],
+    "command, cache_dir",
+    [("table", "{file}"), ("verify", "/dev/null/x")],
     ids=["table-file", "verify-dev-null"],
 )
-def test_unusable_cache_dir_is_invalid_input(argv, tmp_path, capsys):
+def test_unusable_cache_dir_is_invalid_input(command, cache_dir, tmp_path, capsys,
+                                             monkeypatch):
     # exit 1 means a verify mismatch; a cache that cannot be written is bad
     # input, reported on one line
     plain = tmp_path / "plain-file"
     plain.write_text("")
-    argv = [arg.format(file=plain) for arg in argv]
-    code, out, err = run(capsys, *argv)
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", cache_dir.format(file=plain))
+    code, out, err = run(capsys, command, "--q", "5")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -337,9 +352,8 @@ LARGE_TABLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("q", sorted(LARGE_TABLE_DIGESTS))
-def test_large_field_tables_keep_their_digests(q, tmp_path, capsys):
-    code, out, _ = run(capsys, "table", "--q", str(q), "--format", "json",
-                       "--cache-dir", str(tmp_path))
+def test_large_field_tables_keep_their_digests(q, capsys):
+    code, out, _ = run(capsys, "table", "--q", str(q), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[q]
 
@@ -366,10 +380,10 @@ def test_lambda_payload_names_the_route_that_answered(argv, mode, capsys):
         assert payload["traces"] == [] and payload["polynomials"] == []
 
 
-def test_verify_rejects_bad_field(tmp_path, capsys):
-    code, _, err = run(capsys, "verify", "--q", "9", "--cache-dir", str(tmp_path))
+def test_verify_rejects_bad_field(capsys):
+    code, _, err = run(capsys, "verify", "--q", "9")
     assert code == 2
-    code, _, err = run(capsys, "verify", "--q", "12", "--cache-dir", str(tmp_path))
+    code, _, err = run(capsys, "verify", "--q", "12")
     assert code == 2
 
 
@@ -601,7 +615,7 @@ def test_cli_runs_no_reference_code(tmp_path):
 
 
 def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
-    args = ("table", "--q", "5", "--format", "json", "--cache-dir", str(tmp_path))
+    args = ("table", "--q", "5", "--format", "json")
     _, first, _ = run(capsys, *args)
     cache_file = _cache_file(tmp_path, 5)
     assert cache_file.exists()
@@ -612,7 +626,7 @@ def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
 
 
 def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
-    args = ("table", "--q", "5", "--cache-dir", str(tmp_path))
+    args = ("table", "--q", "5")
     _, first, _ = run(capsys, *args)
     cache_file = _cache_file(tmp_path, 5)
     entry = json.loads(cache_file.read_text())
@@ -639,17 +653,18 @@ def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
     ],
     ids=["list", "string", "no-curves", "row-without-a-key", "row-of-text"],
 )
-def test_cache_entry_of_wrong_shape_is_rebuilt(damage, tmp_path, capsys):
+def test_cache_entry_of_wrong_shape_is_rebuilt(damage, tmp_path, capsys, monkeypatch):
     # valid JSON that is not a cache entry, or whose rows are not keyed by
     # table's columns, is damage like any other, even with its hash
     # recomputed: table and verify rebuild it silently and print what a
     # fresh build prints
     for command in ("table", "verify"):
         cache = tmp_path / command
-        fresh = run(capsys, command, "--q", "5", "--cache-dir", str(cache))
+        monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(cache))
+        fresh = run(capsys, command, "--q", "5")
         assert fresh[0] == 0
         damage(_cache_file(cache, 5))
-        assert run(capsys, command, "--q", "5", "--cache-dir", str(cache)) == fresh
+        assert run(capsys, command, "--q", "5") == fresh
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -668,14 +683,21 @@ def test_argparse_rejects_unknown(capsys):
     capsys.readouterr()
 
 
-def test_lambda_takes_no_cache_dir(tmp_path, capsys):
-    # lambda never caches, so the flag is refused rather than ignored
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--q", "5"), ("verify", "--q", "5"),
+     ("lambda", "--q", "5", "--a", "1", "--b", "1")],
+    ids=["table", "verify", "lambda"],
+)
+def test_no_command_takes_a_cache_dir(argv, tmp_path, capsys):
+    # LAMBDA2_CACHE_DIR is the only cache setting, so the flag is refused
+    # rather than ignored, before anything is built or written
     cache = tmp_path / "unused"
     with pytest.raises(SystemExit) as info:
-        cli.main(["lambda", "--q", "5", "--a", "1", "--b", "1", "--cache-dir", str(cache)])
+        cli.main([*argv, "--cache-dir", str(cache)])
     assert info.value.code == 2
     assert "--cache-dir" in capsys.readouterr().err
-    assert not cache.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_module_entry():
