@@ -7,23 +7,19 @@ Subcommands:
 * verify      run the independent computation routes against each other;
 * admissible  realizable elliptic-curve traces over F_q.
 
-table and verify cache table's rows, the classes of the inventory in order
-with their Kani sets, on disk as q{q}.v2.json in the directory
-LAMBDA2_CACHE_DIR names (unset or empty: cache); lambda computes afresh.
-Cache files embed a schema version and a content hash; anything stale,
-damaged or of another shape is silently rebuilt.  verify builds every row
-once, recomputes every route on each class, and holds the cached row at the
-class's position to the fresh one, column by column; with no usable entry
-it first stores the rows it built.  A class the cached rows do not reach,
-and a cached row beyond the inventory, are mismatches too; on any mismatch
-the rows verify built replace the entry.  The exhaustive cover oracle, the
-independent witness, is never cached.
+table caches its rows, the classes of the inventory in order with their
+Kani sets, on disk as q{q}.json in the directory LAMBDA2_CACHE_DIR names
+(unset or empty: cache).  Each entry carries a sha256 of the package's
+sources, q and the rows, so an entry that other code built, or that is
+damaged or of another shape, is silently rebuilt.  lambda and verify read
+and write no cache: verify recomputes every route on each class, the
+exhaustive cover oracle, the independent witness, included.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an
-unusable cache directory included.  A q above a command's cap is invalid
-input, refused before any factoring of q:
-INVENTORY_CAP for table and verify, XLINE_MAX_Q for lambda and
-ADMISSIBLE_MAX_Q for admissible.  lambda --mode oracle (d = 2) serves prime q up to
+unusable cache directory (table only) included.  A q above a command's cap
+is invalid input, refused before any factoring of q: INVENTORY_CAP for
+table and verify, XLINE_MAX_Q for lambda and ADMISSIBLE_MAX_Q for
+admissible.  lambda --mode oracle (d = 2) serves prime q up to
 ORACLE_MAX_Q = 37 only; verify skips the oracle beyond it.
 """
 
@@ -31,12 +27,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
 import sys
-import tempfile
 
 from .classify import (
     admissible_traces,
@@ -53,8 +47,6 @@ from .ecurve import (
 )
 from .ffield import field_of_order
 from .fforacle import lambda_oracle, oracle_serves
-
-CACHE_SCHEMA = 2
 
 _MODE_FUNCTIONS = {
     "formula": lambda_formula_resolved,
@@ -79,9 +71,20 @@ def _dumps(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _content_hash(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _entry_hash(q, rows):
+    """sha256 of every source file of the package, by name, then of q and the
+    rows: an entry that other code built fails it."""
+    import hashlib  # here, so that only table's cache loads it
+
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                source = fh.read()
+            digest.update(b"%s %d\n%s" % (name.encode(), len(source), source))
+    digest.update(json.dumps([q, rows], sort_keys=True, separators=(",", ":")).encode())
+    return digest.hexdigest()
 
 
 def _row(curve):
@@ -98,20 +101,27 @@ def _row(curve):
     }
 
 
+def _refuse_above_inventory_cap(q):
+    # before q is factored or the cache read: the inventory is super-linear in q
+    if q > INVENTORY_CAP:
+        raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
+
+
 def _cache_path(q):
     # an empty LAMBDA2_CACHE_DIR counts as unset
     cache_dir = os.environ.get("LAMBDA2_CACHE_DIR") or "cache"
-    return os.path.join(cache_dir, f"q{q}.v{CACHE_SCHEMA}.json")
+    return os.path.join(cache_dir, f"q{q}.json")
 
 
 def _store_entry(q, rows):
     """Write q's entry of these rows by one rename, so a reader sees the old
     file or the new one, never a part."""
+    import tempfile  # here, so that only table's cache loads it
+
     path = _cache_path(q)
     cache_dir = os.path.dirname(path)
-    body = {"schema": CACHE_SCHEMA, "q": q, "curves": rows}
-    entry = dict(body, hash=_content_hash(body))
-    # an unusable cache directory is bad input, not a verify mismatch
+    entry = {"curves": rows, "hash": _entry_hash(q, rows)}
+    # an unusable cache directory is bad input
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -129,26 +139,21 @@ def _store_entry(q, rows):
 
 
 def _cached_rows(q):
-    """q's cached rows, or None for a missing, stale or damaged entry."""
-    # refuse before building the field: the inventory is super-linear in q
-    if q > INVENTORY_CAP:
-        raise FieldTooLarge(f"inventory is capped at field size {INVENTORY_CAP}")
+    """q's cached rows, or None for a missing or damaged entry or one that
+    other code built."""
     try:
         with open(_cache_path(q), encoding="utf-8") as fh:
             entry = json.load(fh)
     except (OSError, ValueError):
-        entry = None
-    # valid JSON that is not an object with schema, q and a list of rows
-    # keyed by table's columns is damage too, hash or no hash
-    if isinstance(entry, dict) and {"schema", "q", "curves"} <= entry.keys():
-        body = {k: entry[k] for k in ("schema", "q", "curves")}
-        current = body["schema"] == CACHE_SCHEMA and body["q"] == q
-        rows = body["curves"]
-        shaped = isinstance(rows, list) and all(
-            isinstance(row, dict) and row.keys() == set(_TABLE_COLUMNS) for row in rows
-        )
-        if current and shaped and entry.get("hash") == _content_hash(body):
-            return rows
+        return None
+    # valid JSON that is not an object with a list of rows keyed by table's
+    # columns is damage too, hash or no hash
+    rows = entry.get("curves") if isinstance(entry, dict) else None
+    shaped = isinstance(rows, list) and all(
+        isinstance(row, dict) and row.keys() == set(_TABLE_COLUMNS) for row in rows
+    )
+    if shaped and entry.get("hash") == _entry_hash(q, rows):
+        return rows
     return None
 
 
@@ -171,6 +176,7 @@ def _csv_cell(value):
 
 
 def cmd_table(args):
+    _refuse_above_inventory_cap(args.q)
     rows = _cached_rows(args.q)
     if rows is None:
         rows = [_row(curve) for curve in curve_inventory(field_of_order(args.q))]
@@ -218,36 +224,20 @@ def cmd_lambda(args):
 
 def cmd_verify(args):
     q = args.q
-    cached = _cached_rows(q)
+    _refuse_above_inventory_cap(q)
     field = field_of_order(q)
     use_oracle = oracle_serves(field)
     inventory = curve_inventory(field)
-    rows = [_row(curve) for curve in inventory]
-    if cached is None:
-        # stored before any line is printed: an unusable directory prints none
-        _store_entry(q, rows)
-        cached = rows
     failures = 0
-    for at, (curve, row) in enumerate(zip(inventory, rows)):
-        # every route runs afresh on the class; the cached row at its
-        # position must be its fresh row, by repr, so that a cached 1 for
-        # true or 2.0 for 2 is a fault too
-        label = f"a={row['a']} b={row['b']} a_q={row['a_q']:+d}"
+    for curve in inventory:
+        label = f"a={curve.a} b={curve.b} a_q={curve.trace():+d}"
         sets = {
             "formula": lambda_formula_resolved(curve).traces,
-            "kani": tuple(row["lambda_traces"]),
+            "kani": lambda_exact(curve).traces,
         }
         if use_oracle:
             sets["oracle"] = lambda_oracle(curve).traces
-        if at < len(cached):
-            faults = [
-                f"  cache {col}: {cached[at][col]!r}, the curve has {value!r}"
-                for col, value in row.items()
-                if repr(cached[at][col]) != repr(value)
-            ]
-        else:
-            faults = ["  MISSING from the cache"]
-        if len(set(sets.values())) == 1 and not faults:
+        if len(set(sets.values())) == 1:
             traces = ";".join(str(t) for t in sets["kani"])
             print(f"{label}: ok  [{traces}]")
         else:
@@ -255,16 +245,8 @@ def cmd_verify(args):
             print(f"{label}: MISMATCH")
             for mode in sorted(sets):
                 print(f"  {mode:8s} {list(sets[mode])}")
-            for fault in faults:
-                print(fault)
     n = len(inventory)
-    for at in range(n, len(cached)):
-        failures += 1
-        print(f"cache row {at + 1}: MISMATCH, beyond the inventory's {n} classes")
     if failures:
-        # the rows just built replace the entry, so no later table serves a
-        # faulty one
-        _store_entry(q, rows)
         print(f"{n} classes, {failures} mismatches")
         return 1
     if use_oracle:

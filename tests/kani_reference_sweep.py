@@ -32,7 +32,7 @@ For every field F_q with q <= INVENTORY_CAP and characteristic > 3:
   rule;
 * run the CLI through cli.main on a temporary cache directory: a cold
   table, a warm table that must print the cold table's bytes, and verify,
-  which must exit 0 on the entry table wrote;
+  which reads no cache and must exit 0;
 * hold make_field's modulus (Rabin's test) to the lex-first distinct-degree
   search (distinct_degree_modulus in object_reference.py) on every field
   the sweep builds, the extensions of degree 2, 3 and 6 that galois2's

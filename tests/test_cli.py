@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -137,182 +138,85 @@ def test_verify_two_way_skips_oracle(capsys):
 
 
 def _cache_file(cache_dir, q):
-    return cache_dir / f"q{q}.v{cli.CACHE_SCHEMA}.json"
+    return cache_dir / f"q{q}.json"
 
 
-def _plant(cache_file, edit):
-    # rewrite a cache entry and re-hash it, so only verify can see the edit
+def _plant(cache_file, q, edit):
+    # rewrite q's cache entry and re-hash it, so table serves the edit
     entry = json.loads(cache_file.read_text())
     entry["curves"] = edit(entry["curves"])
-    entry["hash"] = cli._content_hash({k: entry[k] for k in ("schema", "q", "curves")})
+    entry["hash"] = cli._entry_hash(q, entry["curves"])
     cache_file.write_text(json.dumps(entry))
 
 
-def _verify_permuted(tmp_path, capsys, permute):
-    """verify's lines on table --q 7's entry with its rows permuted and
-    re-hashed.  A warm table on that entry prints other bytes; verify
-    replaces it with the rows it built, so a warm table after it prints the
-    cold bytes."""
-    code, cold, _ = run(capsys, "table", "--q", "7")
-    assert code == 0
-    _plant(_cache_file(tmp_path, 7), permute)
-    assert run(capsys, "table", "--q", "7")[1] != cold
-    code, out, err = run(capsys, "verify", "--q", "7")
-    assert (code, err) == (1, ""), out
-    assert run(capsys, "table", "--q", "7") == (0, cold, "")
-    lines = out.splitlines()
-    # labels come from the curve, and the first MISMATCH names the first class
-    first = curve_inventory(field_of_order(7))[0]
-    assert lines[0] == f"a={first.a} b={first.b} a_q={first.trace():+d}: MISMATCH"
-    assert [line.split()[0] for line in lines[1:5]] == ["formula", "kani", "oracle", "cache"]
-    return lines
-
-
-def test_verify_checks_each_row_against_its_own_curve(tmp_path, capsys):
-    # two rows swapped in a self-consistent entry: every route runs on the
-    # inventory's classes, and the cached row at each class's position must
-    # be that class's row, so both positions are mismatches
-    def swap(curves):
-        traces = curves[0]["lambda_traces"]
-        j = next(k for k, row in enumerate(curves) if row["lambda_traces"] != traces)
-        curves[0], curves[j] = curves[j], curves[0]
-        return curves
-
-    lines = _verify_permuted(tmp_path, capsys, swap)
-    assert lines[-1] == "18 classes, 2 mismatches"
-    assert sum(line.endswith("MISMATCH") for line in lines) == 2
-
-
-def test_verify_refuses_a_reversed_entry(tmp_path, capsys):
-    lines = _verify_permuted(tmp_path, capsys, lambda curves: curves[::-1])
-    assert lines[-1] == "18 classes, 18 mismatches"
-    # the entry verify wrote is the fresh build, so a second verify passes
-    # and leaves it as it is
-    written = _cache_file(tmp_path, 7).stat().st_mtime_ns
-    code, out, _ = run(capsys, "verify", "--q", "7")
-    assert code == 0
-    assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
-    assert _cache_file(tmp_path, 7).stat().st_mtime_ns == written
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-@pytest.mark.parametrize("damage", [None, "not json at all"], ids=["cold", "damaged"])
-def test_verify_builds_each_row_once(damage, tmp_path, capsys, monkeypatch):
-    # with no usable entry verify stores the rows it built and compares
-    # against them, so each class's row (and its Kani set) is built once
-    if damage is not None:
-        assert run(capsys, "table", "--q", "7")[0] == 0
-        _cache_file(tmp_path, 7).write_text(damage)
-    built = []
-    row = cli._row
-    monkeypatch.setattr(cli, "_row", lambda curve: built.append(curve) or row(curve))
+def test_verify_reads_and_writes_no_cache(tmp_path, capsys, monkeypatch):
+    # a cold verify creates nothing
+    cold = tmp_path / "cold"
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(cold))
     code, out, err = run(capsys, "verify", "--q", "7")
     assert (code, err) == (0, ""), out
     assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
-    assert built == list(curve_inventory(field_of_order(7)))
-    assert cli._cached_rows(7) == [row(curve) for curve in built]
+    assert not cold.exists()
 
-
-def test_verify_recomputes_the_cached_sets(tmp_path, capsys):
-    # a planted entry that is wrong but self-consistent: the hash matches, so
-    # only routes computed afresh can see that +-2 went missing from a row
+    # a wrong but re-hashed entry: table serves it, and verify prints what it
+    # prints on an empty directory and leaves the entry as it is
     def edit(curves):
         row = next(r for r in curves if (r["a"], r["b"]) == ("0,0", "1,0"))
         assert 2 in row["lambda_traces"]
         row["lambda_traces"] = [t for t in row["lambda_traces"] if abs(t) != 2]
         return curves
 
-    assert run(capsys, "table", "--q", "25")[0] == 0
-    _plant(_cache_file(tmp_path, 25), edit)
-    code, out, _ = run(capsys, "verify", "--q", "25")
-    assert code == 1, out
-    lines = out.splitlines()
-    assert lines[-1] == "56 classes, 1 mismatches"
-    flagged = [line for line in lines if line.endswith("MISMATCH")]
-    a_q = next(E.trace() for E in curve_inventory(field_of_order(25))
-               if (str(E.a), str(E.b)) == ("0,0", "1,0"))
-    assert flagged == [f"a=0,0 b=1,0 a_q={a_q:+d}: MISMATCH"]
-    at = lines.index(flagged[0])
-    assert [line.split()[0] for line in lines[at + 1:at + 4]] == ["formula", "kani", "cache"]
-    assert lines[at + 3].startswith("  cache lambda_traces: [")
+    empty = run(capsys, "verify", "--q", "25")
+    assert empty[0] == 0
+    planted = tmp_path / "planted"
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(planted))
+    table = run(capsys, "table", "--q", "25")
+    _plant(_cache_file(planted, 25), 25, edit)
+    assert run(capsys, "table", "--q", "25")[1] != table[1]
+    entry = _cache_file(planted, 25).read_bytes()
+    assert run(capsys, "verify", "--q", "25") == empty
+    assert _cache_file(planted, 25).read_bytes() == entry
 
-
-def test_verify_holds_each_row_and_the_row_set_to_the_inventory(tmp_path, capsys):
-    # a self-consistent entry with one row's own columns wrong and one class
-    # dropped: the sets still agree, so only the columns and the positions
-    # fail; from the dropped class on, every position holds another class's
-    # row, and the last class has none
-    def edit(curves):
-        for row in curves:
-            if (row["a"], row["b"]) == ("1", "0"):
-                row.update(a_q=4, two_torsion="Trivial")
-        return [row for row in curves if (row["a"], row["b"]) != ("2", "0")]
-
-    assert run(capsys, "table", "--q", "5")[0] == 0
-    _plant(_cache_file(tmp_path, 5), edit)
-    code, out, _ = run(capsys, "verify", "--q", "5")
-    assert code == 1, out
-    lines = out.splitlines()
-    assert lines[-1] == "12 classes, 8 mismatches"
-    flagged = [line for line in lines if line.endswith("MISMATCH")]
-    # labels come from the curve: the row of (2, 1) sits at (2, 0)'s position
-    assert flagged[:2] == ["a=1 b=0 a_q=+2: MISMATCH", "a=2 b=0 a_q=+4: MISMATCH"]
-    at = lines.index(flagged[0])
-    assert lines[at + 4:at + 7] == [
-        "  cache a_q: 4, the curve has 2",
-        "  cache two_torsion: 'Trivial', the curve has 'Full'",
-        "a=1 b=1 a_q=-3: ok  [-3;-1;1;3]",
-    ]
-    assert lines[-6] == "a=4 b=2 a_q=+3: MISMATCH"
-    assert lines[-2] == "  MISSING from the cache"
-
-
-def test_verify_refuses_a_row_that_is_not_one_class(tmp_path, capsys):
-    # (2, 1) = (2^4 * 1, 2^6 * 1) in place of its class's lex-min model
-    # (1, 1), and a correct row listed once more: every set still agrees
-    def edit(curves):
-        for row in curves:
-            if (row["a"], row["b"]) == ("1", "1"):
-                row["a"] = "2"
-        return curves + [dict(curves[0])]
-
-    assert run(capsys, "table", "--q", "7")[0] == 0
-    _plant(_cache_file(tmp_path, 7), edit)
-    code, out, _ = run(capsys, "verify", "--q", "7")
-    assert code == 1, out
-    lines = out.splitlines()
-    assert lines[-1] == "18 classes, 2 mismatches"
-    assert lines[-2] == "cache row 19: MISMATCH, beyond the inventory's 18 classes"
-    flagged = [at for at, line in enumerate(lines) if line.endswith("MISMATCH")]
-    assert lines[flagged[0]].split()[:2] == ["a=1", "b=1"]
-    assert lines[flagged[0] + 4] == "  cache a: '2', the curve has '1'"
-
-
-@pytest.mark.parametrize(
-    "col, value",
-    [("b", "0"), ("b", "x"), ("b", "1,2"), ("b", 2), ("a_q", 0.0)],
-    ids=["singular", "not-a-number", "too-many-residues", "not-text", "a_q-float"],
-)
-def test_verify_reports_a_cached_row_that_is_no_curve(tmp_path, capsys, col, value):
-    # row 1 is the class (0, 2); a cell replaced by a singular or
-    # unparseable value, or by a JSON number of another type, makes that row
-    # alone a mismatch, named by its class and the column, and every other
-    # row is still checked
-    def edit(curves):
-        assert (curves[1]["a"], curves[1]["b"], curves[1]["a_q"]) == ("0", "2", 0)
-        curves[1][col] = value
-        return curves
-
-    assert run(capsys, "table", "--q", "5")[0] == 0
-    _plant(_cache_file(tmp_path, 5), edit)
+    # a directory that cannot be created is no input of verify's
+    monkeypatch.setenv("LAMBDA2_CACHE_DIR", "/dev/null/x")
     code, out, err = run(capsys, "verify", "--q", "5")
-    assert (code, err) == (1, ""), err
-    lines = out.splitlines()
-    want = 0 if col == "a_q" else "2"
-    assert lines[1] == "a=0 b=2 a_q=+0: MISMATCH"
-    assert lines[5] == f"  cache {col}: {value!r}, the curve has {want!r}"
-    assert lines[-1] == "12 classes, 1 mismatches"
-    assert sum(": ok  [" in line for line in lines) == 11
+    assert (code, err) == (0, ""), out
+
+
+def test_table_rebuilds_an_entry_that_other_code_wrote(tmp_path):
+    # the entry of a table run is bound to the sources that built it: once a
+    # route is edited, a warm table prints what a cold one of the edited
+    # code prints
+    src = tmp_path / "src"
+    shutil.copytree(
+        Path(__file__).resolve().parents[1] / "src", src,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+
+    def table(cache):
+        env = dict(
+            os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+            LAMBDA2_CACHE_DIR=str(tmp_path / cache),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "lambda2.cli", "table", "--q", "7"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    before = table("warm")
+    # the edit drops +-2 from every Kani set
+    classify_py = src / "lambda2" / "classify.py"
+    text = classify_py.read_text()
+    kani = 'return LambdaSet(curve, 2, traces, "kani")'
+    assert text.count(kani) == 1
+    classify_py.write_text(
+        text.replace(kani, 'return LambdaSet(curve, 2, [t for t in traces if abs(t) != 2], "kani")')
+    )
+    edited = table("cold")
+    assert edited != before
+    assert table("warm") == edited
 
 
 def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
@@ -325,14 +229,12 @@ def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, cache_dir",
-    [("table", "{file}"), ("verify", "/dev/null/x")],
-    ids=["table-file", "verify-dev-null"],
+    "command, cache_dir", [("table", "{file}")], ids=["table-file"]
 )
 def test_unusable_cache_dir_is_invalid_input(command, cache_dir, tmp_path, capsys,
                                              monkeypatch):
     # exit 1 means a verify mismatch; a cache that cannot be written is bad
-    # input, reported on one line
+    # input, reported on one line (verify writes none)
     plain = tmp_path / "plain-file"
     plain.write_text("")
     monkeypatch.setenv("LAMBDA2_CACHE_DIR", cache_dir.format(file=plain))
@@ -620,9 +522,11 @@ def test_cache_written_and_hit_is_byte_identical(tmp_path, capsys):
     cache_file = _cache_file(tmp_path, 5)
     assert cache_file.exists()
     entry = json.loads(cache_file.read_text())
-    assert entry["schema"] == cli.CACHE_SCHEMA and entry["q"] == 5 and "hash" in entry
+    assert entry.keys() == {"curves", "hash"}
+    assert entry["hash"] == cli._entry_hash(5, entry["curves"])
     _, second, _ = run(capsys, *args)
     assert first == second
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
@@ -645,26 +549,24 @@ def test_cache_tampering_triggers_rebuild(tmp_path, capsys):
     [
         lambda path: path.write_text("[]"),
         lambda path: path.write_text('"x"'),
-        lambda path: path.write_text(json.dumps({"schema": cli.CACHE_SCHEMA, "q": 5})),
+        lambda path: path.write_text(json.dumps({"hash": cli._entry_hash(5, None)})),
         lambda path: _plant(
-            path, lambda curves: [{k: v for k, v in curves[0].items() if k != "j"}] + curves[1:]
+            path, 5,
+            lambda curves: [{k: v for k, v in curves[0].items() if k != "j"}] + curves[1:],
         ),
-        lambda path: _plant(path, lambda curves: ["row"] + curves[1:]),
+        lambda path: _plant(path, 5, lambda curves: ["row"] + curves[1:]),
     ],
     ids=["list", "string", "no-curves", "row-without-a-key", "row-of-text"],
 )
-def test_cache_entry_of_wrong_shape_is_rebuilt(damage, tmp_path, capsys, monkeypatch):
+def test_cache_entry_of_wrong_shape_is_rebuilt(damage, tmp_path, capsys):
     # valid JSON that is not a cache entry, or whose rows are not keyed by
     # table's columns, is damage like any other, even with its hash
-    # recomputed: table and verify rebuild it silently and print what a
-    # fresh build prints
-    for command in ("table", "verify"):
-        cache = tmp_path / command
-        monkeypatch.setenv("LAMBDA2_CACHE_DIR", str(cache))
-        fresh = run(capsys, command, "--q", "5")
-        assert fresh[0] == 0
-        damage(_cache_file(cache, 5))
-        assert run(capsys, command, "--q", "5") == fresh
+    # recomputed: table rebuilds it silently and prints what a fresh build
+    # prints
+    fresh = run(capsys, "table", "--q", "5")
+    assert fresh[0] == 0
+    damage(_cache_file(tmp_path, 5))
+    assert run(capsys, "table", "--q", "5") == fresh
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -707,13 +609,14 @@ def test_main_module_entry():
 # top-level modules `import lambda2.cli` may add to a bare interpreter; the
 # import is the start-up cost of every command, so a new entry is a reviewed
 # change.  Private accelerator modules (leading underscore) follow the public
-# ones and vary between Python versions, so they are not compared.
+# ones and vary between Python versions, so they are not compared.  The
+# cache's hashlib and tempfile (with shutil and the compressors it loads) are
+# imported where table uses the cache, so no other command pays for them.
 IMPORTED_MODULES = frozenset({
-    "__future__", "argparse", "array", "bisect", "bz2", "collections", "copyreg", "csv",
-    "enum", "errno", "fnmatch", "functools", "genericpath", "gettext", "hashlib",
-    "itertools", "json", "keyword", "lambda2", "lzma", "math", "operator", "os",
-    "posixpath", "random", "re", "reprlib", "shutil", "stat", "tempfile", "types",
-    "warnings", "weakref", "zlib",
+    "__future__", "argparse", "array", "bisect", "collections", "copyreg", "csv", "enum",
+    "functools", "genericpath", "gettext", "itertools", "json", "keyword", "lambda2",
+    "math", "operator", "os", "posixpath", "random", "re", "reprlib", "stat", "types",
+    "warnings",
 })
 
 
@@ -730,6 +633,7 @@ def test_cli_import_adds_no_new_module():
     )
     added = {name for name in done.stdout.split() if not name.startswith("_")}
     assert "lambda2" in added
+    assert not added & {"hashlib", "tempfile"}, sorted(added & {"hashlib", "tempfile"})
     assert added <= IMPORTED_MODULES, sorted(added - IMPORTED_MODULES)
 
 
