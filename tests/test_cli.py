@@ -177,10 +177,26 @@ def test_verify_reads_and_writes_no_cache(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", "--q", "25") == empty
     assert _cache_file(planted, 25).read_bytes() == entry
 
-    # a directory that cannot be created is no input of verify's
-    monkeypatch.setenv("LAMBDA2_CACHE_DIR", "/dev/null/x")
-    code, out, err = run(capsys, "verify", "--q", "5")
+
+@pytest.mark.parametrize("damage", [None, "not json at all"], ids=["cold", "damaged"])
+def test_verify_builds_each_row_once(damage, tmp_path, capsys, monkeypatch):
+    # with no usable entry verify builds each class's Kani set once, builds
+    # no table row, and leaves the cache as it found it
+    if damage is not None:
+        assert run(capsys, "table", "--q", "7")[0] == 0
+        _cache_file(tmp_path, 7).write_text(damage)
+    built = []
+    exact = cli.lambda_exact
+    monkeypatch.setattr(cli, "lambda_exact", lambda curve: built.append(curve) or exact(curve))
+    monkeypatch.setattr(cli, "_row", lambda curve: pytest.fail("verify built a table row"))
+    code, out, err = run(capsys, "verify", "--q", "7")
     assert (code, err) == (0, ""), out
+    assert out.splitlines()[-1] == "18 classes, 3 modes, all agree"
+    assert built == list(curve_inventory(field_of_order(7)))
+    if damage is None:
+        assert not _cache_file(tmp_path, 7).exists()
+    else:
+        assert _cache_file(tmp_path, 7).read_text() == damage
 
 
 def test_table_rebuilds_an_entry_that_other_code_wrote(tmp_path):
@@ -229,16 +245,23 @@ def test_empty_cache_env_var_is_unset(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "command, cache_dir", [("table", "{file}")], ids=["table-file"]
+    "command, cache_dir",
+    [("table", "{file}"), ("verify", "/dev/null/x")],
+    ids=["table-file", "verify-dev-null"],
 )
 def test_unusable_cache_dir_is_invalid_input(command, cache_dir, tmp_path, capsys,
                                              monkeypatch):
     # exit 1 means a verify mismatch; a cache that cannot be written is bad
-    # input, reported on one line (verify writes none)
+    # input of table's, reported on one line; verify touches no cache, so
+    # the directory is no input of its own and it runs as usual
     plain = tmp_path / "plain-file"
     plain.write_text("")
     monkeypatch.setenv("LAMBDA2_CACHE_DIR", cache_dir.format(file=plain))
     code, out, err = run(capsys, command, "--q", "5")
+    if command == "verify":
+        assert (code, err) == (0, ""), out
+        assert out.splitlines()[-1] == "12 classes, 3 modes, all agree"
+        return
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
